@@ -4,8 +4,9 @@
 //
 // In addition to the google-benchmark suite, main() runs a head-to-head
 // scheduler harness — binary heap vs. calendar queue, on a monotonic and a
-// backoff-heavy event mix — and records the result into BENCH_engine.json so
-// the scheduler's perf trajectory is tracked PR over PR.
+// backoff-heavy event mix — plus the per-call cost of every routing kind, and
+// records the result into BENCH_engine.json so the scheduler's and the
+// routing decision's perf trajectory is tracked from change to change.
 //
 //   bench_micro_engine                # head-to-head + full gbench suite
 //   bench_micro_engine --smoke        # quick head-to-head only; exits 1 if
@@ -18,8 +19,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <malloc.h>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/network.hpp"
 #include "place/placement.hpp"
@@ -194,6 +198,81 @@ MixResult run_head_to_head(const MixSpec& mix, std::size_t hold, std::uint64_t e
 }
 
 // ---------------------------------------------------------------------------
+// Routing decision cost: host ns per RoutingAlgorithm::compute for every
+// routing kind, on Theta and on perfbench's 80-router machine (5 groups of
+// 2x8 routers, 1 global port per router), with the profiler off. Candidates
+// are scored against an uneven congestion view so the adaptive kinds make
+// real choices. table_heap_bytes is the heap the algorithm holds after
+// construction (its MinimalPathTable, essentially), from glibc's allocator
+// statistics.
+// ---------------------------------------------------------------------------
+
+class SkewedCongestion : public CongestionView {
+ public:
+  Bytes queued_bytes(RouterId router, int port) const override {
+    std::uint64_t h = static_cast<std::uint64_t>(router) * 0x9E3779B1u ^
+                      static_cast<std::uint64_t>(port) * 0x85EBCA77u;
+    h ^= h >> 15;
+    return static_cast<Bytes>(h % 7) * 1024;
+  }
+};
+
+struct RoutingRow {
+  const char* topo = "";
+  RoutingKind kind = RoutingKind::Minimal;
+  double ns_per_call = 0.0;  ///< best of the repetitions
+  std::size_t table_heap_bytes = 0;
+};
+
+std::vector<RoutingRow> run_routing_rows(bool smoke) {
+  TopoParams perfbench = TopoParams::theta();
+  perfbench.groups = 5;
+  perfbench.rows = 2;
+  perfbench.cols = 8;
+  perfbench.global_ports_per_router = 1;
+  const std::pair<const char*, TopoParams> topos[] = {{"theta", TopoParams::theta()},
+                                                      {"perfbench", perfbench}};
+  const int calls = smoke ? 20'000 : 200'000;
+  const int repetitions = smoke ? 2 : 5;
+  const SkewedCongestion congestion;
+  std::vector<RoutingRow> rows;
+  for (const auto& [topo_name, params] : topos) {
+    const DragonflyTopology topo(params);
+    std::vector<std::pair<NodeId, NodeId>> pairs(1 << 14);
+    Rng pick(11);
+    const int nodes = params.total_nodes();
+    for (auto& [src, dst] : pairs) {
+      src = static_cast<NodeId>(pick.uniform(nodes));
+      dst = static_cast<NodeId>(pick.uniform(nodes - 1));
+      if (dst >= src) ++dst;
+    }
+    for (const RoutingKind kind : {RoutingKind::Minimal, RoutingKind::Adaptive,
+                                   RoutingKind::Valiant, RoutingKind::AdaptiveGlobal}) {
+      RoutingRow row;
+      row.topo = topo_name;
+      row.kind = kind;
+      const std::size_t heap_before = mallinfo2().uordblks;
+      const std::unique_ptr<RoutingAlgorithm> routing = make_routing(kind, topo);
+      row.table_heap_bytes = mallinfo2().uordblks - heap_before;
+      Rng rng(13);
+      for (int rep = 0; rep < repetitions; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < calls; ++i) {
+          const auto& [src, dst] = pairs[static_cast<std::size_t>(i) & (pairs.size() - 1)];
+          const Route route = routing->compute(src, dst, congestion, rng);
+          benchmark::DoNotOptimize(route);
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count() / calls;
+        if (rep == 0 || ns < row.ns_per_call) row.ns_per_call = ns;
+      }
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Parallel-engine headline: the sharded engine on Theta-scale random traffic,
 // threads=1 (serial-sharded oracle) vs. threads=4. Records both the measured
 // wall-clock speedup and the critical-path projection
@@ -325,6 +404,11 @@ int run_harness(bool smoke, const std::string& out_path) {
                 results[i].speedup);
   }
 
+  const std::vector<RoutingRow> routing = run_routing_rows(smoke);
+  for (const RoutingRow& r : routing)
+    std::printf("[routing %-9s %-4s] %8.1f ns/call | table heap %zu B\n", r.topo,
+                to_string(r.kind), r.ns_per_call, r.table_heap_bytes);
+
   const ParallelResult par = run_parallel_headline(smoke);
   std::printf(
       "[engine parallel     ] serial %7.2f Mev/s | threads=%d %7.2f Mev/s | "
@@ -352,6 +436,16 @@ int run_harness(bool smoke, const std::string& out_path) {
                    r.speedup, i + 1 < std::size(kMixes) ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"routing\": {\"profiler\": false, \"congestion\": \"skewed\", \"rows\": [\n");
+    for (std::size_t i = 0; i < routing.size(); ++i) {
+      const RoutingRow& r = routing[i];
+      std::fprintf(f,
+                   "    {\"topo\": \"%s\", \"kind\": \"%s\", \"ns_per_call\": %.1f, "
+                   "\"table_heap_bytes\": %zu}%s\n",
+                   r.topo, to_string(r.kind), r.ns_per_call, r.table_heap_bytes,
+                   i + 1 < routing.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]},\n");
     std::fprintf(f,
                  "  \"parallel\": {\"topo\": \"theta\", \"threads\": %d, \"events\": %llu, "
                  "\"serial_meps\": %.3f, \"parallel_meps\": %.3f, \"speedup_measured\": %.3f, "

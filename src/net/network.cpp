@@ -34,6 +34,10 @@ Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkPar
                  const RoutingAlgorithm& routing, Rng rng, MessageSink* sink)
     : engine_(engine), topo_(topo), params_(params), routing_(routing), rng_(rng), sink_(sink) {
   params_.validate();
+  for (const PortKind kind :
+       {PortKind::Terminal, PortKind::LocalRow, PortKind::LocalCol, PortKind::Global})
+    full_chunk_time_[static_cast<int>(kind)] =
+        units::transfer_time(params_.chunk_bytes, params_.bandwidth(kind));
   const int routers = topo_.params().total_routers();
   routers_.reserve(routers);
   for (RouterId r = 0; r < routers; ++r) routers_.emplace_back(topo_, params_, r, kMaxRouteHops);
@@ -164,7 +168,7 @@ void Network::try_inject(NodeId node, SimTime now) {
   hs.routers_sum += static_cast<std::uint64_t>(chunk.route.routers_traversed());
   if (tracer_) chunk.trace_serial = tracer_->on_chunk_injected(head.msg, m.src, m.dst, size, now);
 
-  const SimTime t_end = now + units::transfer_time(size, params_.bandwidth(PortKind::Terminal));
+  const SimTime t_end = now + transfer_time(size, PortKind::Terminal);
   nic.busy_until = t_end;
   nic.traffic += size;
   engine_.schedule(t_end + params_.terminal_latency + params_.router_delay, this,
@@ -192,7 +196,7 @@ void Network::try_inject(NodeId node, SimTime now) {
 void Network::try_send(RouterId rid, int port, SimTime now) {
   Router& router = routers_[rid];
   OutPort& op = router.port(port);
-  if (!topo_.port_enabled(rid, port)) return;  // link down: nothing moves
+  if (!link_up(rid, port)) return;  // link down: nothing moves
   if (op.queue.empty()) {
     op.end_blocked(now);
     return;
@@ -244,7 +248,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   op.last_vc_served = hop.vc;
   if (!op.is_terminal()) op.credits[hop.vc] -= chunk.bytes;
 
-  const SimTime t_end = now + units::transfer_time(chunk.bytes, params_.bandwidth(op.kind));
+  const SimTime t_end = now + transfer_time(chunk.bytes, op.kind);
   op.busy_until = t_end;
   op.tx_chunk = cid;
   op.tx_vc = hop.vc;
@@ -322,7 +326,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const auto rid = static_cast<RouterId>(payload.b);
       const Hop& hop = chunk.route[chunk.hop_idx];
       assert(hop.router == rid);
-      if (!topo_.port_enabled(rid, hop.port)) {
+      if (!link_up(rid, hop.port)) {
         // The next link of this chunk's source route died while it was in
         // flight. Drop it here; the owning NIC retransmits the bytes later.
         return_upstream_credit(chunk, now);

@@ -206,6 +206,19 @@ class Network : public EventHandler, public CongestionView {
     return sharded_ ? lane_rngs_[static_cast<std::size_t>(engine_.current_lane())] : rng_;
   }
 
+  /// Wire time of `bytes` on a channel of `kind`; full chunks, the common
+  /// case, read a table filled at construction.
+  SimTime transfer_time(Bytes bytes, PortKind kind) const {
+    return bytes == params_.chunk_bytes
+               ? full_chunk_time_[static_cast<int>(kind)]
+               : units::transfer_time(bytes, params_.bandwidth(kind));
+  }
+  /// topo_.port_enabled, skipped while no link of the topology is down.
+  bool link_up(RouterId router, int port) const {
+    return (topo_.disabled_global_links() == 0 && topo_.disabled_local_links() == 0) ||
+           topo_.port_enabled(router, port);
+  }
+
   void try_inject(NodeId node, SimTime now);
   void try_send(RouterId router, int port, SimTime now);
   void release_if_done(MsgId id);
@@ -228,6 +241,7 @@ class Network : public EventHandler, public CongestionView {
   Engine& engine_;
   const DragonflyTopology& topo_;
   NetworkParams params_;
+  SimTime full_chunk_time_[4] = {};  ///< transfer_time of chunk_bytes, per PortKind
   const RoutingAlgorithm& routing_;
   Rng rng_;  ///< master routing stream; drawn from directly when unsharded
   MessageSink* sink_;

@@ -1,5 +1,7 @@
 #include "routing/adaptive.hpp"
 
+#include <algorithm>
+
 #include "routing/adaptive_global.hpp"
 #include "routing/minimal.hpp"
 #include "routing/valiant.hpp"
@@ -8,63 +10,65 @@
 namespace dfly {
 
 AdaptiveRouting::AdaptiveRouting(const DragonflyTopology& topo, Bytes bias_bytes,
-                                 double nonminimal_penalty)
-    : table_(topo), bias_bytes_(bias_bytes), nonminimal_penalty_(nonminimal_penalty) {}
-
-double AdaptiveRouting::score(const Route& route, const CongestionView& congestion,
-                              bool minimal) const {
-  const Hop& first = route.first();
-  const Bytes queued = congestion.queued_bytes(first.router, first.port);
-  const double base = static_cast<double>(queued + bias_bytes_) * route.routers_traversed();
-  return minimal ? base : base * nonminimal_penalty_;
-}
+                                 double nonminimal_penalty, bool whole_path)
+    : table_(topo),
+      bias_bytes_(bias_bytes),
+      nonminimal_penalty_(nonminimal_penalty),
+      whole_path_(whole_path) {}
 
 Route AdaptiveRouting::compute(NodeId src, NodeId dst, const CongestionView& congestion,
                                Rng& rng) const {
   const Coordinates& c = table_.topology().coords();
   const RouterId r_src = c.router_of_node(src);
   const RouterId r_dst = c.router_of_node(dst);
+  const int eject = c.slot_of_node(dst);
+  // routes[best] holds the best candidate so far and the next one is built
+  // in the other buffer, so a winning candidate is never copied.
+  Route routes[2];
   if (r_src == r_dst) {
-    Route route;
-    route.push(r_dst, c.slot_of_node(dst));
-    return route;
+    routes[0].push(r_dst, eject);
+    return routes[0];
   }
 
   // Two independent minimal instantiations (tie-breaks differ), then two
-  // Valiant detours through random intermediate routers.
-  Route best;
+  // Valiant detours through random intermediate routers. Minimal candidates
+  // come first, so keeping the earlier candidate on a tied score is the
+  // preference for minimal.
+  int best = -1;
   double best_score = 0;
-  bool best_is_minimal = false;
-  double best_minimal = 0, best_nonminimal = 0;  // per-class bests, telemetry
-  bool seen_minimal = false, seen_nonminimal = false;
-  auto consider = [&](Route candidate, bool is_minimal) {
-    const double s = score(candidate, congestion, is_minimal);
-    double& class_best = is_minimal ? best_minimal : best_nonminimal;
-    bool& class_seen = is_minimal ? seen_minimal : seen_nonminimal;
-    if (!class_seen || s < class_best) class_best = s;
-    class_seen = true;
-    const bool better =
-        best.empty() || s < best_score || (s == best_score && is_minimal && !best_is_minimal);
-    if (better) {
-      best = candidate;
-      best_score = s;
-      best_is_minimal = is_minimal;
+  bool best_minimal = false;
+  double class_best[2] = {0, 0};  // best minimal / nonminimal score, telemetry
+  for (int i = 0; i < 4; ++i) {
+    const bool minimal = i < 2;
+    const int slot = best == 0 ? 1 : 0;
+    Route& route = routes[slot];
+    route.clear();
+    if (minimal) {
+      table_.append_minimal(route, r_src, r_dst, rng);
+    } else {
+      const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
+      append_valiant(table_, route, r_src, via, r_dst, rng);
     }
-  };
+    route.push(r_dst, eject);
 
-  for (int i = 0; i < 2; ++i) {
-    Route route;
-    table_.append_minimal(route, r_src, r_dst, rng);
-    route.push(r_dst, c.slot_of_node(dst));
-    consider(route, true);
-  }
-  for (int i = 0; i < 2; ++i) {
-    const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
-    consider(valiant_route(table_, src, dst, via, rng), false);
+    Bytes queued = congestion.queued_bytes(route.first().router, route.first().port);
+    if (whole_path_) {
+      for (int h = 1; h < route.size(); ++h)
+        queued = std::max(queued, congestion.queued_bytes(route[h].router, route[h].port));
+    }
+    double score = static_cast<double>(queued + bias_bytes_) * route.routers_traversed();
+    if (!minimal) score *= nonminimal_penalty_;
+    double& class_score = class_best[minimal ? 0 : 1];
+    if (i % 2 == 0 || score < class_score) class_score = score;
+    if (best < 0 || score < best_score) {
+      best = slot;
+      best_score = score;
+      best_minimal = minimal;
+    }
   }
   if (telemetry_)
-    telemetry_->record(r_src, best_is_minimal, best_score, best_minimal, best_nonminimal);
-  return best;
+    telemetry_->record(r_src, best_minimal, best_score, class_best[0], class_best[1]);
+  return routes[best];
 }
 
 const char* to_string(RoutingKind kind) {

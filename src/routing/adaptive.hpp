@@ -24,19 +24,25 @@ class AdaptiveRouting : public RoutingAlgorithm {
   /// link capacity of a minimal one; a packet only detours when the minimal
   /// queue is substantially deeper.
   explicit AdaptiveRouting(const DragonflyTopology& topo, Bytes bias_bytes = 2048,
-                           double nonminimal_penalty = 2.0);
+                           double nonminimal_penalty = 2.0)
+      : AdaptiveRouting(topo, bias_bytes, nonminimal_penalty, false) {}
 
   Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
                 Rng& rng) const override;
   std::string name() const override { return "adaptive"; }
   void on_topology_changed() override { table_.refresh(); }
 
- private:
-  double score(const Route& route, const CongestionView& congestion, bool minimal) const;
+ protected:
+  /// `whole_path` scores a candidate by the deepest queue along its entire
+  /// path instead of its first hop's (UGAL-G, adaptive_global.hpp).
+  AdaptiveRouting(const DragonflyTopology& topo, Bytes bias_bytes, double nonminimal_penalty,
+                  bool whole_path);
 
+ private:
   MinimalPathTable table_;
   Bytes bias_bytes_;
   double nonminimal_penalty_;
+  bool whole_path_;
 };
 
 }  // namespace dfly

@@ -7,28 +7,18 @@
 // what adaptive routing could achieve — included for the ablation study.
 #pragma once
 
-#include "routing/algorithm.hpp"
-#include "routing/router_table.hpp"
+#include "routing/adaptive.hpp"
 
 namespace dfly {
 
-class AdaptiveGlobalRouting : public RoutingAlgorithm {
+class AdaptiveGlobalRouting : public AdaptiveRouting {
  public:
   explicit AdaptiveGlobalRouting(const DragonflyTopology& topo, Bytes bias_bytes = 2048,
-                                 double nonminimal_penalty = 2.0);
+                                 double nonminimal_penalty = 2.0)
+      : AdaptiveRouting(topo, bias_bytes, nonminimal_penalty, true) {}
 
-  Route compute(NodeId src, NodeId dst, const CongestionView& congestion,
-                Rng& rng) const override;
   std::string name() const override { return "adaptive-global"; }
-  void on_topology_changed() override { table_.refresh(); }
   bool uses_remote_congestion() const override { return true; }
-
- private:
-  double score(const Route& route, const CongestionView& congestion, bool minimal) const;
-
-  MinimalPathTable table_;
-  Bytes bias_bytes_;
-  double nonminimal_penalty_;
 };
 
 }  // namespace dfly

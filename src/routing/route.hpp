@@ -36,6 +36,8 @@ class Route {
     ++len_;
   }
 
+  void clear() { len_ = 0; }
+
   int size() const { return len_; }
   bool empty() const { return len_ == 0; }
   const Hop& operator[](int i) const {

@@ -2,215 +2,242 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 namespace dfly {
 
-MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo) : topo_(topo) {
+MinimalPathTable::MinimalPathTable(const DragonflyTopology& topo)
+    : topo_(topo),
+      groups_(topo.params().groups),
+      rpg_(topo.params().routers_per_group()),
+      cols_(topo.params().cols),
+      pair_links_(topo.params().global_ports_per_group() / (topo.params().groups - 1)) {
   const TopoParams& p = topo_.params();
-  table_.resize(static_cast<std::size_t>(p.total_routers()) * p.groups);
-  pair_seen_.resize(static_cast<std::size_t>(p.groups) * p.groups);
-  local_seen_.resize(static_cast<std::size_t>(p.groups));
-  for (RouterId r = 0; r < p.total_routers(); ++r) {
-    const GroupId g = topo_.coords().group_of_router(r);
-    for (GroupId peer = 0; peer < p.groups; ++peer) {
-      if (peer != g) rebuild_entry(r, peer);
+  if (rpg_ > std::numeric_limits<std::int16_t>::max() ||
+      topo_.ports_per_router() > std::numeric_limits<std::int16_t>::max() ||
+      pair_links_ > std::numeric_limits<std::uint16_t>::max())
+    throw std::invalid_argument("MinimalPathTable: topology exceeds the 16-bit table fields");
+
+  group_of_.resize(static_cast<std::size_t>(p.total_routers()));
+  for (RouterId r = 0; r < p.total_routers(); ++r) group_of_[r] = r / rpg_;
+  row_.resize(static_cast<std::size_t>(rpg_));
+  col_.resize(static_cast<std::size_t>(rpg_));
+  local_port_.resize(static_cast<std::size_t>(rpg_) * rpg_);
+  for (int i = 0; i < rpg_; ++i) {
+    row_[i] = static_cast<std::int16_t>(i / cols_);
+    col_[i] = static_cast<std::int16_t>(i % cols_);
+    // Group 0's routers have ids 0..rpg-1; the wiring repeats in every group.
+    for (int j = 0; j < rpg_; ++j)
+      local_port_[static_cast<std::size_t>(i) * rpg_ + j] =
+          static_cast<std::int16_t>(topo_.local_port_to(i, j));
+  }
+
+  const std::size_t pairs = static_cast<std::size_t>(groups_) * groups_;
+  local_hops_.resize(static_cast<std::size_t>(groups_) * rpg_ * rpg_);
+  records_.resize(pairs * pair_links_);
+  buckets_.resize(static_cast<std::size_t>(p.total_routers()) * groups_ * (3 + pair_links_));
+  pair_seen_.resize(pairs);
+  local_seen_.resize(static_cast<std::size_t>(groups_));
+  for (GroupId g = 0; g < groups_; ++g) {
+    local_seen_[g] = topo_.local_version(g);
+    rebuild_local_hops(g);
+  }
+  for (GroupId a = 0; a < groups_; ++a) {
+    for (GroupId b = 0; b < groups_; ++b) {
+      pair_seen_[pair_index(a, b)] = topo_.pair_version(a, b);
+      if (a != b) rebuild_pair(a, b);
     }
   }
-  for (GroupId a = 0; a < p.groups; ++a) {
-    local_seen_[a] = topo_.local_version(a);
-    for (GroupId b = 0; b < p.groups; ++b)
-      pair_seen_[static_cast<std::size_t>(a) * p.groups + b] = topo_.pair_version(a, b);
+  for (RouterId r = 0; r < p.total_routers(); ++r) {
+    for (GroupId peer = 0; peer < groups_; ++peer)
+      if (peer != group_of_[r]) rebuild_buckets(r, peer);
   }
   epoch_seen_ = topo_.epoch();
 }
 
-void MinimalPathTable::rebuild_entry(RouterId r, GroupId peer) {
-  const GroupId g = topo_.coords().group_of_router(r);
-  assert(peer != g);
-  Candidates& cand = table_[static_cast<std::size_t>(r) * topo_.params().groups + peer];
-  std::vector<GlobalLink> bucket0;
-  std::vector<GlobalLink> bucket1;
-  for (const GlobalLink& link : topo_.global_links(g, peer)) {
-    const int lh = local_hops(r, link.src_router);
-    if (lh == 0) bucket0.push_back(link);
-    else if (lh == 1) bucket1.push_back(link);
+void MinimalPathTable::rebuild_local_hops(GroupId g) {
+  const RouterId base = g * rpg_;
+  for (int i = 0; i < rpg_; ++i) {
+    std::int8_t* row = &local_hops_[(static_cast<std::size_t>(g) * rpg_ + i) * rpg_];
+    for (int j = 0; j < rpg_; ++j) {
+      const int pt = port(i, j);
+      // Both directions of a local link fail together, so the table is
+      // symmetric; a same-row/column pair whose link is down takes 2 hops.
+      row[j] = i == j ? 0 : (pt >= 0 && topo_.port_enabled(base + i, pt) ? 1 : 2);
+    }
   }
-  cand.near_links = std::move(bucket0);
-  cand.bucket1_begin = static_cast<int>(cand.near_links.size());
-  cand.near_links.insert(cand.near_links.end(), bucket1.begin(), bucket1.end());
-  if (cand.bucket1_begin > 0) cand.best_src_cost = 1;
-  else if (!cand.near_links.empty()) cand.best_src_cost = 2;
-  else cand.best_src_cost = 3;
+}
+
+void MinimalPathTable::rebuild_pair(GroupId a, GroupId b) {
+  LinkRecord* out = &records_[pair_index(a, b) * pair_links_];
+  for (const GlobalLink& link : topo_.global_links(a, b))
+    *out++ = LinkRecord{static_cast<std::int16_t>(link.src_router - a * rpg_),
+                        static_cast<std::int16_t>(link.src_port),
+                        static_cast<std::int16_t>(link.dst_router - b * rpg_)};
+}
+
+void MinimalPathTable::rebuild_buckets(RouterId router, GroupId peer) {
+  const GroupId g = group_of_[router];
+  assert(peer != g);
+  const LinkRecord* links = records(g, peer);
+  const std::size_t count = topo_.global_links(g, peer).size();
+  const std::int8_t* hops = hops_row(g, router - g * rpg_);
+  std::uint16_t* out = &buckets_[(static_cast<std::size_t>(router) * groups_ + peer) *
+                                 (3 + pair_links_)];
+  std::uint16_t n = 0;
+  for (int bucket = 0; bucket < 3; ++bucket) {
+    for (std::size_t k = 0; k < count; ++k)
+      if (hops[links[k].src] == bucket) out[3 + n++] = static_cast<std::uint16_t>(k);
+    out[bucket] = n;
+  }
 }
 
 void MinimalPathTable::refresh() {
   if (epoch_seen_ == topo_.epoch()) return;
-  const TopoParams& p = topo_.params();
-  const int rpg = p.routers_per_group();
-
-  // A local-link change inside group g reclassifies the source-side buckets
-  // of every entry owned by g's routers (toward every peer). A global-link
-  // change between a and b invalidates a's entries toward b and b's toward a.
-  std::vector<char> group_stale(static_cast<std::size_t>(p.groups), 0);
-  for (GroupId g = 0; g < p.groups; ++g) {
+  // A local-link change inside group g changes g's local hop counts, which
+  // reclassify the source-side buckets of every entry owned by g's routers
+  // (toward every peer). A global-link change between a and b changes that
+  // pair's records, invalidating a's entries toward b and b's toward a.
+  std::vector<char> group_stale(static_cast<std::size_t>(groups_), 0);
+  for (GroupId g = 0; g < groups_; ++g) {
     if (local_seen_[g] != topo_.local_version(g)) {
-      group_stale[g] = 1;
       local_seen_[g] = topo_.local_version(g);
+      rebuild_local_hops(g);
+      group_stale[g] = 1;
     }
   }
-  for (GroupId a = 0; a < p.groups; ++a) {
-    for (GroupId b = 0; b < p.groups; ++b) {
+  for (GroupId a = 0; a < groups_; ++a) {
+    for (GroupId b = 0; b < groups_; ++b) {
       if (a == b) continue;
-      const std::size_t pv = static_cast<std::size_t>(a) * p.groups + b;
-      const bool pair_stale = pair_seen_[pv] != topo_.pair_version(a, b);
-      if (pair_stale) pair_seen_[pv] = topo_.pair_version(a, b);
+      const bool pair_stale = pair_seen_[pair_index(a, b)] != topo_.pair_version(a, b);
+      if (pair_stale) {
+        pair_seen_[pair_index(a, b)] = topo_.pair_version(a, b);
+        rebuild_pair(a, b);
+      }
       if (!pair_stale && !group_stale[a]) continue;
-      for (int i = 0; i < rpg; ++i) rebuild_entry(a * rpg + i, b);
+      for (int i = 0; i < rpg_; ++i) rebuild_buckets(a * rpg_ + i, b);
     }
   }
   epoch_seen_ = topo_.epoch();
 }
 
-int MinimalPathTable::local_hops(RouterId a, RouterId b) const {
-  if (a == b) return 0;
-  const Coordinates& c = topo_.coords();
-  const RouterCoord ca = c.coord(a);
-  const RouterCoord cb = c.coord(b);
-  assert(ca.group == cb.group);
-  if (ca.row != cb.row && ca.col != cb.col) return 2;
-  if (topo_.disabled_local_links() == 0) return 1;
-  // Same row or column but the direct link may be down; the topology's
-  // connectivity guard guarantees a 2-hop alternative exists.
-  return topo_.port_enabled(a, topo_.local_port_to(a, b)) ? 1 : 2;
-}
-
-const MinimalPathTable::Candidates& MinimalPathTable::candidates(RouterId router,
-                                                                 GroupId peer) const {
-  return table_[static_cast<std::size_t>(router) * topo_.params().groups + peer];
-}
-
-void MinimalPathTable::append_local(Route& route, RouterId from, RouterId to, Rng& rng) const {
-  if (from == to) return;
-  const Coordinates& c = topo_.coords();
-  if (topo_.disabled_local_links() == 0) {
-    // Healthy fast path; keep the RNG draw sequence identical to the
-    // pre-fault-API behaviour so seeded runs stay bit-reproducible.
-    const int direct = topo_.local_port_to(from, to);
-    if (direct >= 0) {
-      route.push(from, direct);
-      return;
-    }
-    // Two intersection candidates: (from.row, to.col) and (to.row, from.col).
-    const RouterCoord a = c.coord(from);
-    const RouterCoord b = c.coord(to);
-    const RouterId via_row = c.router_at(a.group, a.row, b.col);
-    const RouterId via_col = c.router_at(a.group, b.row, a.col);
-    const RouterId mid = rng.bernoulli(0.5) ? via_row : via_col;
-    route.push(from, topo_.local_port_to(from, mid));
-    route.push(mid, topo_.local_port_to(mid, to));
+void MinimalPathTable::append_local(Route& route, GroupId g, int i, int j, Rng& rng) const {
+  if (i == j) return;
+  const RouterId base = g * rpg_;
+  if (hops_row(g, i)[j] == 1) {
+    route.push(base + i, port(i, j));
     return;
   }
-
-  const int direct = topo_.local_port_to(from, to);
-  if (direct >= 0 && topo_.port_enabled(from, direct)) {
-    route.push(from, direct);
-    return;
-  }
-  // Direct link missing or down: collect the 2-hop mids whose both legs are
-  // up and pick one uniformly. The connectivity guard keeps this non-empty.
-  auto hop_ok = [&](RouterId x, RouterId y) {
-    const int port = topo_.local_port_to(x, y);
-    return port >= 0 && topo_.port_enabled(x, port);
-  };
-  const RouterCoord a = c.coord(from);
-  const RouterCoord b = c.coord(to);
-  std::vector<RouterId> mids;
-  auto consider_mid = [&](RouterId m) {
-    if (hop_ok(from, m) && hop_ok(m, to)) mids.push_back(m);
-  };
-  if (a.row == b.row) {
-    for (int col = 0; col < topo_.params().cols; ++col)
-      if (col != a.col && col != b.col) consider_mid(c.router_at(a.group, a.row, col));
-  } else if (a.col == b.col) {
-    for (int row = 0; row < topo_.params().rows; ++row)
-      if (row != a.row && row != b.row) consider_mid(c.router_at(a.group, row, a.col));
+  int mid;
+  if (topo_.disabled_local_links() != 0) {
+    mid = faulted_mid(g, i, j, rng);
   } else {
-    consider_mid(c.router_at(a.group, a.row, b.col));
-    consider_mid(c.router_at(a.group, b.row, a.col));
+    // Exactly the two row/column intersections qualify. The Bernoulli draw
+    // (rather than uniform(2)) is the draw sequence seeded runs have always
+    // used on a fabric with every local link up.
+    mid = rng.bernoulli(0.5) ? row_[i] * cols_ + col_[j] : row_[j] * cols_ + col_[i];
   }
-  assert(!mids.empty() && "connectivity guard violated");
-  const RouterId mid = mids[rng.uniform(mids.size())];
-  route.push(from, topo_.local_port_to(from, mid));
-  route.push(mid, topo_.local_port_to(mid, to));
+  route.push(base + i, port(i, mid));
+  route.push(base + mid, port(mid, j));
+}
+
+int MinimalPathTable::faulted_mid(GroupId g, int i, int j, Rng& rng) const {
+  // Pick uniformly among the 2-hop mids whose both legs are up, in canonical
+  // order (the connectivity guard keeps the set non-empty). Counting first
+  // and then walking to the chosen one keeps the single uniform(n) draw
+  // without a temporary list.
+  const std::int8_t* hops_i = hops_row(g, i);
+  const std::int8_t* hops_j = hops_row(g, j);
+  auto for_each_mid = [&](auto&& visit) {
+    if (row_[i] == row_[j]) {
+      for (int col = 0; col < cols_; ++col)
+        if (col != col_[i] && col != col_[j] && visit(row_[i] * cols_ + col)) return;
+    } else if (col_[i] == col_[j]) {
+      for (int row = 0; row < rpg_ / cols_; ++row)
+        if (row != row_[i] && row != row_[j] && visit(row * cols_ + col_[i])) return;
+    } else if (!visit(row_[i] * cols_ + col_[j])) {
+      visit(row_[j] * cols_ + col_[i]);
+    }
+  };
+  std::uint64_t usable = 0;
+  for_each_mid([&](int m) {
+    usable += hops_i[m] == 1 && hops_j[m] == 1;
+    return false;
+  });
+  assert(usable > 0 && "connectivity guard violated");
+  std::uint64_t pick = rng.uniform(usable);
+  int mid = -1;
+  for_each_mid([&](int m) {
+    if (hops_i[m] != 1 || hops_j[m] != 1 || pick-- != 0) return false;
+    mid = m;
+    return true;
+  });
+  return mid;
 }
 
 void MinimalPathTable::append_minimal(Route& route, RouterId from, RouterId to, Rng& rng) const {
   if (from == to) return;
-  const Coordinates& c = topo_.coords();
-  const GroupId gf = c.group_of_router(from);
-  const GroupId gt = c.group_of_router(to);
+  const GroupId gf = group_of_[from];
+  const GroupId gt = group_of_[to];
+  const int fi = from - gf * rpg_;
+  const int ti = to - gt * rpg_;
   if (gf == gt) {
-    append_local(route, from, to, rng);
+    append_local(route, gf, fi, ti, rng);
     return;
   }
 
   // Pick a global link minimizing src_hops + 1 + dst_hops; ties broken
-  // uniformly by reservoir sampling over the candidate stream.
-  const Candidates& cand = candidates(from, gt);
+  // uniformly by reservoir sampling over the bucket streams.
+  const LinkRecord* links = records(gf, gt);
+  const std::uint16_t* buckets = entry(from, gt);
+  const std::int8_t* dst_hops = hops_row(gt, ti);
   int best_cost = 100;
-  GlobalLink best{};
+  const LinkRecord* best = nullptr;
   std::uint64_t ties = 0;
-  auto consider = [&](const GlobalLink& link, int src_hops) {
-    const int cost = src_hops + 1 + local_hops(link.dst_router, to);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = link;
-      ties = 1;
-    } else if (cost == best_cost) {
-      ++ties;
-      if (rng.uniform(ties) == 0) best = link;
+  auto scan = [&](int begin, int end, int src_hops) {
+    for (int k = begin; k < end; ++k) {
+      const LinkRecord& link = links[buckets[3 + k]];
+      const int cost = src_hops + 1 + dst_hops[link.dst];
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = &link;
+        ties = 1;
+      } else if (cost == best_cost) {
+        ++ties;
+        if (rng.uniform(ties) == 0) best = &link;
+      }
     }
   };
+  scan(0, buckets[0], 0);
+  // Bucket 1 can only help if the current best has dst-side hops >= 1, and
+  // bucket 2 only if the best so far is worse than 3.
+  if (best_cost > 2) scan(buckets[0], buckets[1], 1);
+  if (best_cost > 3) scan(buckets[1], buckets[2], 2);
+  assert(best != nullptr);
 
-  for (int i = 0; i < cand.bucket1_begin; ++i) consider(cand.near_links[i], 0);
-  // Bucket 1 can only help if the current best has dst-side hops >= 1.
-  if (best_cost > 2) {
-    for (std::size_t i = cand.bucket1_begin; i < cand.near_links.size(); ++i)
-      consider(cand.near_links[i], 1);
-  }
-  // Bucket 2 (2 src-side hops) can only help if best > 3.
-  if (best_cost > 3) {
-    for (const GlobalLink& link : topo_.global_links(gf, gt)) {
-      if (local_hops(from, link.src_router) == 2) consider(link, 2);
-    }
-  }
-  assert(best_cost < 100);
-
-  append_local(route, from, best.src_router, rng);
-  route.push(best.src_router, best.src_port);
-  append_local(route, best.dst_router, to, rng);
+  append_local(route, gf, fi, best->src, rng);
+  route.push(gf * rpg_ + best->src, best->src_port);
+  append_local(route, gt, best->dst, ti, rng);
 }
 
 int MinimalPathTable::min_hops(RouterId from, RouterId to) const {
   if (from == to) return 0;
-  const Coordinates& c = topo_.coords();
-  const GroupId gf = c.group_of_router(from);
-  const GroupId gt = c.group_of_router(to);
-  if (gf == gt) return local_hops(from, to);
-  const Candidates& cand = candidates(from, gt);
+  const GroupId gf = group_of_[from];
+  const GroupId gt = group_of_[to];
+  const int ti = to - gt * rpg_;
+  if (gf == gt) return hops_row(gt, ti)[from - gf * rpg_];
+  const LinkRecord* links = records(gf, gt);
+  const std::uint16_t* buckets = entry(from, gt);
+  const std::int8_t* dst_hops = hops_row(gt, ti);
   int best = 100;
-  for (int i = 0; i < cand.bucket1_begin && best > 1; ++i)
-    best = std::min(best, 1 + local_hops(cand.near_links[i].dst_router, to));
-  if (best > 2) {
-    for (std::size_t i = cand.bucket1_begin; i < cand.near_links.size() && best > 2; ++i)
-      best = std::min(best, 2 + local_hops(cand.near_links[i].dst_router, to));
-  }
-  if (best > 3) {
-    for (const GlobalLink& link : topo_.global_links(gf, gt)) {
-      if (local_hops(from, link.src_router) == 2)
-        best = std::min(best, 3 + local_hops(link.dst_router, to));
-      if (best <= 3) break;
-    }
+  int begin = 0;
+  // Bucket b costs at least b + 1, so it cannot beat a best of b + 1.
+  for (int bucket = 0; bucket < 3 && best > bucket + 1; ++bucket) {
+    for (int k = begin; k < buckets[bucket]; ++k)
+      best = std::min(best, bucket + 1 + dst_hops[links[buckets[3 + k]].dst]);
+    begin = buckets[bucket];
   }
   return best;
 }

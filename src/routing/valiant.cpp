@@ -6,23 +6,17 @@ namespace dfly {
 
 ValiantRouting::ValiantRouting(const DragonflyTopology& topo) : table_(topo) {}
 
-Route valiant_route(const MinimalPathTable& table, NodeId src, NodeId dst, RouterId via,
-                    Rng& rng) {
-  const Coordinates& c = table.topology().coords();
-  Route route;
-  const RouterId r_src = c.router_of_node(src);
-  const RouterId r_dst = c.router_of_node(dst);
+void append_valiant(const MinimalPathTable& table, Route& route, RouterId r_src, RouterId via,
+                    RouterId r_dst, Rng& rng) {
   table.append_minimal(route, r_src, via, rng);
   table.append_minimal(route, via, r_dst, rng);
-  route.push(r_dst, c.slot_of_node(dst));
-  return route;
 }
 
 RouterId pick_valiant_intermediate(int total_routers, RouterId r_src, RouterId r_dst, Rng& rng) {
   const int total = total_routers;
   // With two routers (or one) there is no third router to bounce through;
   // the old rejection loop would spin forever. Route minimally instead —
-  // via == r_dst makes valiant_route collapse to the minimal path.
+  // via == r_dst makes append_valiant collapse to the minimal path.
   if (total <= 2) return r_dst;
   for (int attempt = 0; attempt < 8; ++attempt) {
     const auto via = static_cast<RouterId>(rng.uniform(static_cast<std::uint64_t>(total)));
@@ -48,13 +42,13 @@ Route ValiantRouting::compute(NodeId src, NodeId dst, const CongestionView& /*co
   const Coordinates& c = table_.topology().coords();
   const RouterId r_src = c.router_of_node(src);
   const RouterId r_dst = c.router_of_node(dst);
-  if (r_src == r_dst) {
-    Route route;
-    route.push(r_dst, c.slot_of_node(dst));
-    return route;
+  Route route;
+  if (r_src != r_dst) {
+    const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
+    append_valiant(table_, route, r_src, via, r_dst, rng);
   }
-  const RouterId via = pick_valiant_intermediate(table_.topology(), r_src, r_dst, rng);
-  return valiant_route(table_, src, dst, via, rng);
+  route.push(r_dst, c.slot_of_node(dst));
+  return route;
 }
 
 }  // namespace dfly

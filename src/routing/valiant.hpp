@@ -22,10 +22,11 @@ class ValiantRouting : public RoutingAlgorithm {
   MinimalPathTable table_;
 };
 
-/// Shared helper: appends minimal(src -> via) + minimal(via -> dst) followed
-/// by the ejection hop. `via` must differ from both routers or equal one of
-/// them (then it degenerates to the minimal path).
-Route valiant_route(const MinimalPathTable& table, NodeId src, NodeId dst, RouterId via, Rng& rng);
+/// Shared helper: appends minimal(r_src -> via) + minimal(via -> r_dst), without
+/// the ejection hop. `via` must differ from both routers or equal one of them
+/// (then it degenerates to the minimal path).
+void append_valiant(const MinimalPathTable& table, Route& route, RouterId r_src, RouterId via,
+                    RouterId r_dst, Rng& rng);
 
 /// Picks a Valiant intermediate router: uniform over routers outside the
 /// source and destination routers (matching "randomly selecting an

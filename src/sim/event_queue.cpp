@@ -47,6 +47,7 @@ CalendarEventQueue::CalendarEventQueue()
 
 void CalendarEventQueue::push(const QueuedEvent& ev) {
   assert(ev.time >= 0 && "calendar queue requires non-negative times");
+  located_ = false;
   const std::uint64_t b = bucket_of(ev.time);
   if (size_ == 0) {
     cur_b_ = b;  // re-anchor the window on the first event
@@ -65,12 +66,13 @@ void CalendarEventQueue::push(const QueuedEvent& ev) {
 }
 
 const QueuedEvent& CalendarEventQueue::min() {
-  locate_min();
+  if (!located_) locate_min();
   return slot(cur_b_).events.back();
 }
 
 QueuedEvent CalendarEventQueue::pop_min() {
-  locate_min();
+  if (!located_) locate_min();
+  located_ = false;
   Bucket& bk = slot(cur_b_);
   QueuedEvent ev = bk.events.back();
   bk.events.pop_back();
@@ -125,6 +127,7 @@ void CalendarEventQueue::locate_min() {
         continue;
       }
     }
+    located_ = true;
     return;
   }
 }

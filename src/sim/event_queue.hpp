@@ -116,6 +116,8 @@ class CalendarEventQueue {
 
   void push(const QueuedEvent& ev);
   /// Smallest pending event; lazily positions and sorts the serving bucket.
+  /// The located position is kept until the next push, pop or resize, so the
+  /// engine's min()-then-pop_min() dispatch locates once, not twice.
   const QueuedEvent& min();
   QueuedEvent pop_min();
 
@@ -156,6 +158,8 @@ class CalendarEventQueue {
   Bucket& slot(std::uint64_t b) { return buckets_[b & bucket_mask_]; }
 
   /// Advances cur_b_ to the bucket holding the global minimum and sorts it.
+  /// A second call with no push, pop or resize in between would change
+  /// nothing, which is what makes remembering the result (located_) exact.
   void locate_min();
   /// Moves every overflow event whose bucket is inside the current window
   /// into the calendar array.
@@ -178,6 +182,10 @@ class CalendarEventQueue {
   std::uint64_t bucket_mask_;  ///< buckets_.size() - 1 (size is a power of two)
   int width_shift_;            ///< log2 of the bucket width in ns
   std::uint64_t cur_b_ = 0;    ///< absolute index of the serving bucket
+  /// cur_b_ holds the minimum, sorted (see min()). push() and pop_min()
+  /// clear it; they are also the only callers of rewind() and resize()
+  /// besides locate_min() itself, which sets it last.
+  bool located_ = false;
   std::size_t size_ = 0;       ///< calendar + overflow
   std::size_t cal_size_ = 0;   ///< events in the bucket array
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, std::greater<>> overflow_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -36,22 +37,44 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL);
 
   /// Raw 64 random bits.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) with rejection sampling (no modulo bias).
-  std::uint64_t uniform(std::uint64_t bound);
+  /// For a power-of-two bound the rejection threshold is 0 and `% bound` is a
+  /// mask, so that case takes one draw and no division — the same draw and
+  /// the same value as the general formula.
+  std::uint64_t uniform(std::uint64_t bound) {
+    assert(bound > 0);
+    if ((bound & (bound - 1)) == 0) return next() & (bound - 1);
+    // Lemire-style rejection to remove modulo bias.
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double uniform_double();
+  double uniform_double() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform_double(double lo, double hi);
 
   /// True with probability p.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform_double() < p; }
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -82,6 +105,8 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t s_[4];
 };
 

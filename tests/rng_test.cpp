@@ -32,6 +32,23 @@ TEST(Rng, UniformStaysInBound) {
   }
 }
 
+TEST(Rng, PowerOfTwoBoundMatchesRejectionFormulaDrawForDraw) {
+  // uniform() masks power-of-two bounds; the general rejection formula must
+  // give the same value from the same single draw, so seeded runs keep their
+  // draw sequence.
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t bound = std::uint64_t{1} << k;
+    Rng fast(100 + k), reference(100 + k);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      std::uint64_t r = reference.next();
+      while (r < threshold) r = reference.next();
+      ASSERT_EQ(fast.uniform(bound), r % bound) << "bound 2^" << k << " draw " << i;
+      ASSERT_EQ(fast.state(), reference.state()) << "bound 2^" << k << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, UniformBoundOneIsAlwaysZero) {
   Rng rng(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform(1), 0u);

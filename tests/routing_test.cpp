@@ -1,6 +1,10 @@
 // Unit and property tests for minimal / Valiant / adaptive routing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -253,6 +257,154 @@ TEST(AdaptiveRouting, AvoidsCongestedMinimalFirstHop) {
       ++avoided;
   }
   EXPECT_GT(avoided, 40) << "adaptive should usually dodge a hot first hop";
+}
+
+// ---------------------------------------------------------------------------
+// Draw-sequence golden test. Every routing kind's RNG draw sequence is part of
+// the artifact contract: a route that differs, or the same route reached with
+// a different number of draws, shifts every later decision of the run and so
+// every simulated output. These hashes pin 20k compute() results, the final
+// RNG state and the adaptive decision telemetry per (kind, topology, link
+// state); a pure speed-up of the routing code must leave all of them as is.
+
+/// Deterministic, uneven queue depths (0-6 KiB, many exact ties) so that the
+/// adaptive scorers see both clear winners and tie-breaks.
+class SkewedCongestion : public CongestionView {
+ public:
+  Bytes queued_bytes(RouterId router, int port) const override {
+    std::uint64_t h = static_cast<std::uint64_t>(router) * 0x9E3779B1u ^
+                      static_cast<std::uint64_t>(port) * 0x85EBCA77u;
+    h ^= h >> 15;
+    return static_cast<Bytes>(h % 7) * 1024;
+  }
+};
+
+enum class LinkState { Healthy, GlobalDown, LocalDown, LocalRecovered };
+
+class Fnv64 {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (word >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TopoParams perfbench_topology() {
+  TopoParams p = TopoParams::theta();
+  p.groups = 5;
+  p.rows = 2;
+  p.cols = 8;
+  p.global_ports_per_router = 1;
+  return p;
+}
+
+std::uint64_t draw_sequence_hash(RoutingKind kind, const TopoParams& params, LinkState state) {
+  constexpr int kCalls = 20000;
+  DragonflyTopology topo(params);
+  const std::unique_ptr<RoutingAlgorithm> routing = make_routing(kind, topo);
+  RoutingTelemetry telemetry;
+  routing->set_telemetry(&telemetry);
+  const Coordinates& c = topo.coords();
+  const RouterId u = c.router_at(0, 0, 0), v = c.router_at(0, 0, 1);
+  if (state == LinkState::GlobalDown) {
+    topo.disable_global_link(0, 1, 0);
+    routing->on_topology_changed();
+  } else if (state != LinkState::Healthy) {
+    topo.set_local_link_state(u, v, false);
+    routing->on_topology_changed();
+  }
+  const SkewedCongestion congestion;
+  Rng rng(0xd1f);
+  Rng pick(0x5eed);
+  Fnv64 hash;
+  const int nodes = params.total_nodes();
+  for (int i = 0; i < kCalls; ++i) {
+    if (state == LinkState::LocalRecovered && i == kCalls / 2) {
+      topo.set_local_link_state(u, v, true);
+      routing->on_topology_changed();
+    }
+    const auto src = static_cast<NodeId>(pick.uniform(nodes));
+    auto dst = static_cast<NodeId>(pick.uniform(nodes - 1));
+    if (dst >= src) ++dst;
+    const Route route = routing->compute(src, dst, congestion, rng);
+    hash.add(static_cast<std::uint64_t>(route.size()));
+    for (int h = 0; h < route.size(); ++h)
+      hash.add(static_cast<std::uint64_t>(route[h].router) << 16 |
+               static_cast<std::uint64_t>(route[h].port) << 8 |
+               static_cast<std::uint64_t>(route[h].vc));
+  }
+  for (const std::uint64_t word : rng.state()) hash.add(word);
+  for (const RouteDecisionStats& d : telemetry.per_source()) {
+    hash.add(d.minimal);
+    hash.add(d.nonminimal);
+    hash.add(d.winning_score_sum);
+    hash.add(d.minimal_score_sum);
+    hash.add(d.nonminimal_score_sum);
+  }
+  return hash.value();
+}
+
+TEST(RoutingGolden, DrawSequenceIsPinned) {
+  struct Topo {
+    const char* name;
+    TopoParams params;
+  };
+  const std::array<Topo, 3> topos{{{"tiny", TopoParams::tiny()},
+                                   {"perfbench", perfbench_topology()},
+                                   {"theta", TopoParams::theta()}}};
+  const std::array<RoutingKind, 4> kinds{RoutingKind::Minimal, RoutingKind::Adaptive,
+                                         RoutingKind::Valiant, RoutingKind::AdaptiveGlobal};
+  const std::array<LinkState, 4> states{LinkState::Healthy, LinkState::GlobalDown,
+                                        LinkState::LocalDown, LinkState::LocalRecovered};
+  const char* const state_names[] = {"healthy", "global-down", "local-down", "local-recovered"};
+  // Recorded before the table-driven routing rewrite; indexed
+  // [kind][topology][link state] in the order of the arrays above.
+  constexpr std::uint64_t kExpected[4][3][4] = {
+      {  // min
+       {0x9ad6d157504b8182ULL, 0x1f24765a1cc6fcdfULL,
+        0x2002293b6751b092ULL, 0x145a6a0bccc65006ULL},
+       {0x97718481e98a3edaULL, 0xd655935edc67a6b7ULL,
+        0x3c7a036014b43208ULL, 0x03be7eb04fcd6bcdULL},
+       {0x1de650089b7107f0ULL, 0xaaba2f0a652c7b86ULL,
+        0x9666cb46f0001f6aULL, 0xbfaf845b8e43d54bULL},
+      },
+      {  // adp
+       {0x4952e028a7a0995cULL, 0x82f5fe1c7383080cULL,
+        0x3b5a54e2a08cd7c0ULL, 0x26d1680b1ed15deeULL},
+       {0x2488e57ccae460e8ULL, 0xb3cdb2abea3199faULL,
+        0x33bf73bfd0752df3ULL, 0xe46fdb4317f51276ULL},
+       {0x7371d1eaad676537ULL, 0x5ba77b87b298634cULL,
+        0x2fd30198c21d0e98ULL, 0x00827c48670309dcULL},
+      },
+      {  // val
+       {0x4ccdfac4aeff507aULL, 0xe205634843d5a0abULL,
+        0x6e13a08c04517077ULL, 0xb2bbb0da9fa43152ULL},
+       {0x8e2963511cd93adfULL, 0xce30d173a59d2d57ULL,
+        0x2525697ea2991647ULL, 0x1390ba194b93e862ULL},
+       {0x94d29788ebb940ecULL, 0x82949420aaf8fcfcULL,
+        0x00cbfe762eaf1725ULL, 0xa5f75532a6bbfc58ULL},
+      },
+      {  // adpg
+       {0x8e4dd729596bdeb2ULL, 0x290ec7e6fb4af6b0ULL,
+        0x272ed3870fb701fbULL, 0xb35b90f76383454cULL},
+       {0x16aef65d70ee9d05ULL, 0x3c967de20dd075a0ULL,
+        0xe76a360dee8ec1ebULL, 0x94faf8b0e81f004aULL},
+       {0x30e6eb53fec769b4ULL, 0x644e7476175ddc99ULL,
+        0x70ddb849b4338418ULL, 0x430b090933f5d872ULL},
+      },
+  };
+  for (std::size_t k = 0; k < kinds.size(); ++k)
+    for (std::size_t t = 0; t < topos.size(); ++t)
+      for (std::size_t s = 0; s < states.size(); ++s)
+        EXPECT_EQ(draw_sequence_hash(kinds[k], topos[t].params, states[s]), kExpected[k][t][s])
+            << to_string(kinds[k]) << " / " << topos[t].name << " / " << state_names[s];
 }
 
 TEST(RoutingFactory, NamesAndKinds) {

@@ -85,6 +85,69 @@ TEST(CalendarQueue, DifferentialWideHorizon) {
     differential_stream(seed, 3000, 50 * units::kMillisecond, 0.1);
 }
 
+// Interleaves min() with push() and pop_min(). The calendar keeps the minimum
+// min() located until the next push, pop or resize; this stream checks that
+// each of them makes it forget. Every step first calls min(), then mutates:
+// a push at `now` lands before the located bucket whenever the minimum is
+// later (rewind), far-future pushes park in the overflow tier and are
+// promoted as the window slides, and bursts grow the bucket array (resize)
+// between a min() and the next pop_min().
+void differential_min_interleaved(std::uint64_t seed, int ops) {
+  Rng rng(seed);
+  NullHandler handler;
+  HeapEventQueue heap;
+  CalendarEventQueue calendar;
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  auto push = [&](SimTime when) {
+    const QueuedEvent ev{when, seq++, &handler, EventPayload{}};
+    heap.push(ev);
+    calendar.push(ev);
+  };
+  std::uint64_t burst_resizes = 0;
+  for (int i = 0; i < ops; ++i) {
+    if (!heap.empty()) {
+      ASSERT_EQ(calendar.min().time, heap.min().time) << "op " << i << " seed " << seed;
+      ASSERT_EQ(calendar.min().seq, heap.min().seq) << "op " << i << " seed " << seed;
+    }
+    const double roll = rng.uniform_double();
+    const std::size_t buckets = calendar.stats().buckets;
+    if (heap.empty() || roll < 0.3) {
+      push(now + static_cast<SimTime>(rng.uniform(2000)));
+    } else if (roll < 0.4) {
+      push(now);
+    } else if (roll < 0.45) {
+      push(now + (SimTime{20} * units::kMicrosecond << static_cast<int>(rng.uniform(12))));
+    } else if (roll < 0.47 && 2 * buckets + 1 - calendar.size() <= 512) {
+      // Just enough pushes to cross the grow threshold (size > 2 * buckets).
+      const std::uint64_t resizes = calendar.stats().resizes;
+      for (std::size_t n = 2 * buckets + 1 - calendar.size(); n > 0; --n)
+        push(now + static_cast<SimTime>(rng.uniform(5000)));
+      burst_resizes += calendar.stats().resizes - resizes;
+    } else {
+      const QueuedEvent a = heap.pop_min();
+      const QueuedEvent b = calendar.pop_min();
+      ASSERT_EQ(a.time, b.time) << "op " << i << " seed " << seed;
+      ASSERT_EQ(a.seq, b.seq) << "op " << i << " seed " << seed;
+      now = a.time;
+    }
+  }
+  while (!heap.empty()) {
+    ASSERT_EQ(calendar.min().seq, heap.min().seq);
+    const QueuedEvent a = heap.pop_min();
+    const QueuedEvent b = calendar.pop_min();
+    ASSERT_EQ(a.time, b.time);
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_GT(burst_resizes, 0u) << "no resize landed between a min() and a pop_min()";
+  EXPECT_GT(calendar.stats().overflow_promotions, 0u);
+}
+
+TEST(CalendarQueue, DifferentialMinInterleaved) {
+  for (std::uint64_t seed = 31; seed <= 38; ++seed) differential_min_interleaved(seed, 4000);
+}
+
 TEST(CalendarQueue, AllSameTimePopsInSeqOrder) {
   NullHandler handler;
   CalendarEventQueue q;
