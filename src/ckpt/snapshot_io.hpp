@@ -28,10 +28,12 @@ namespace dfly::ckpt {
 static_assert(std::endian::native == std::endian::little,
               "checkpoint format requires a little-endian host");
 
-// v2: the engine section gained a leading mode byte (serial vs sharded) and
-// the network section became lane-structured (arena chunk pool, per-lane
+// v2: the network section became lane-structured (arena chunk pool, per-lane
 // counters and RNG streams, chunk trace serials).
-inline constexpr std::uint32_t kFormatVersion = 2;
+// v3: one engine layout at every thread count (per-lane queues, no mode byte;
+// the lane count tells threads=0 from sharded snapshots), one RNG stream per
+// network lane, and two pending-notification flags per message record.
+inline constexpr std::uint32_t kFormatVersion = 3;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.
 inline constexpr std::uint32_t kByteOrderSentinel = 0x01020304u;

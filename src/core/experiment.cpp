@@ -56,32 +56,37 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   Trace trace = workload.trace;  // scaling mutates; keep the workload pristine
   if (options.msg_scale != 1.0) trace.scale_message_sizes(options.msg_scale);
 
+  const std::unique_ptr<RoutingAlgorithm> routing = make_routing(config.routing, topo);
+  // The one sharding decision. Remote-congestion routing (UGAL-G) reads
+  // fabric state no group owns, so it runs on the engine without shard lanes
+  // at any thread count — and writes exactly the threads=0 artifacts.
+  const int threads = routing->uses_remote_congestion() ? 0 : options.threads;
+
   // The profiler is constructed before the engine (and so destroyed after
   // it): engine worker threads and the network hold raw pointers into it for
-  // the whole run. Lane count mirrors the engine's sharding decision below.
+  // the whole run. Lane count mirrors the engine's.
   std::optional<prof::Profiler> profiler;
   if (options.prof.enabled) {
-    const int prof_lanes = options.threads > 0 ? options.topo.groups + 1 : 1;
-    profiler.emplace(options.prof, prof_lanes, options.threads);
+    const int prof_lanes = threads > 0 ? options.topo.groups + 1 : 1;
+    profiler.emplace(options.prof, prof_lanes, threads);
   }
   prof::Profiler* const prof_ptr = profiler ? &*profiler : nullptr;
 
   Engine engine;
   if (options.max_events) engine.set_event_limit(options.max_events);
-  const std::unique_ptr<RoutingAlgorithm> routing = make_routing(config.routing, topo);
-  if (options.threads > 0) {
+  if (threads > 0) {
     // One shard (lane) per dragonfly group; the global-link latency is the
     // conservative lookahead — no chunk, credit, or notification crosses
     // groups in less simulated time than that.
     ShardingOptions sharding;
     sharding.shards = options.topo.groups;
     sharding.lookahead = options.net.global_latency;
-    sharding.threads = options.threads;
+    sharding.threads = threads;
     engine.enable_sharding(sharding);
   }
   engine.set_profiler(prof_ptr);
   Network network(engine, topo, options.net, *routing, master.fork(1));
-  if (options.threads > 0) network.enable_sharding(options.net.global_latency);
+  if (threads > 0) network.enable_sharding(options.net.global_latency);
   ReplayEngine replay(engine, network, trace, placement, options.replay);
 
   // Declared after the network/routing it hooks into, so the destructor

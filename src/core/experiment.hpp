@@ -73,13 +73,14 @@ struct ExperimentOptions {
   ReplayOptions replay;    ///< eager/rendezvous protocol knobs
   std::optional<BackgroundSpec> background;
   std::uint64_t max_events = 0;  ///< 0 = unlimited; watchdog for tests
-  /// [engine] threads: 0 (default) runs the classic single-queue serial
-  /// engine; >= 1 partitions the simulation into per-dragonfly-group shards
-  /// under conservative (global-link-latency lookahead) synchronization,
-  /// with `threads` worker threads executing the shards. threads=1 is the
+  /// [engine] threads: 0 (default) runs every event on the engine's global
+  /// lane, one at a time; >= 1 adds one shard lane per dragonfly group under
+  /// conservative (global-link-latency lookahead) synchronization, with
+  /// `threads` worker threads executing the shards. threads=1 is the
   /// serial-sharded oracle; any threads >= 1 produce byte-identical
   /// artifacts (metrics.json / counters.jsonl / heatmap.csv) for a given
-  /// configuration. See DESIGN.md §10.
+  /// configuration. Remote-congestion routing (UGAL-G) ignores the value and
+  /// always runs as threads=0. See DESIGN.md §10.
   int threads = 0;
   /// Timed link faults fired mid-run. Non-empty schedules make the
   /// experiment copy the topology (runtime faults mutate link state), so a

@@ -28,7 +28,14 @@ struct MessageRecord {
   Bytes drop_pending = 0;
   std::uint16_t retx_attempts = 0;  ///< drives the exponential backoff
   bool retx_scheduled = false;      ///< a kRetransmit event is in flight
-  bool injected_notified = false;   ///< MessageSink heard on_message_injected
+  bool injected_notified = false;   ///< kMsgInjected was scheduled (at most once)
+  /// A kMsgInjected / kMsgDelivered event for this record is scheduled and not
+  /// yet dispatched. The record is only released once neither is in flight,
+  /// so a notification never reads a freed (or reused) slot. Two flags, not a
+  /// count: with shard lanes the source and destination lanes set them
+  /// concurrently.
+  bool injected_note_pending = false;
+  bool delivered_note_pending = false;
   std::uint64_t user_data = 0;
   bool notify_injected = false;
   bool notify_delivered = false;

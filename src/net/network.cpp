@@ -32,7 +32,8 @@ void NetworkParams::validate() const {
 
 Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkParams& params,
                  const RoutingAlgorithm& routing, Rng rng, MessageSink* sink)
-    : engine_(engine), topo_(topo), params_(params), routing_(routing), rng_(rng), sink_(sink) {
+    : engine_(engine), topo_(topo), params_(params), routing_(routing), sink_(sink),
+      lane_rngs_{rng} {
   params_.validate();
   for (const PortKind kind :
        {PortKind::Terminal, PortKind::LocalRow, PortKind::LocalCol, PortKind::Global})
@@ -52,27 +53,31 @@ void Network::enable_sharding(SimTime lookahead) {
     throw std::logic_error("network: enable_sharding requires a sharded engine");
   if (engine_.lanes() != topo_.params().groups + 1)
     throw std::logic_error("network: engine shard count must equal the group count");
-  if (bytes_injected() != 0 || chunks_.capacity() != 0)
-    throw std::logic_error("network: enable_sharding requires an idle network");
+  if (sharded() || bytes_injected() != 0 || chunks_.capacity() != 0)
+    throw std::logic_error("network: enable_sharding requires an idle, unsharded network");
+  if (lookahead < 1) throw std::invalid_argument("network: lookahead must be >= 1");
   // UGAL-G scores congestion along the entire candidate path — state no
-  // single group owns. Leaving every event on the global lane (the
-  // EventHandler default) keeps such runs on the serial dispatch path, which
-  // under a sharded engine executes in exactly the legacy (time, seq) order.
-  if (routing_.uses_remote_congestion()) return;
-  sharded_ = true;
+  // single group owns — so no lane could run its routing decisions.
+  if (routing_.uses_remote_congestion())
+    throw std::logic_error(
+        "network: remote-congestion routing cannot run sharded (use an engine without shards)");
   lookahead_ = lookahead;
   const int lanes = engine_.lanes();
   chunks_.set_lanes(lanes);
   lane_stats_ = std::vector<LaneStats>(static_cast<std::size_t>(lanes));
   deferred_frees_.assign(static_cast<std::size_t>(lanes), {});
+  const Rng master = lane_rngs_.front();
   lane_rngs_.clear();
   lane_rngs_.reserve(static_cast<std::size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) lane_rngs_.push_back(rng_.stream(static_cast<std::uint64_t>(i)));
+  for (int i = 0; i < lanes; ++i)
+    lane_rngs_.push_back(master.stream(static_cast<std::uint64_t>(i)));
   engine_.set_quiesce_hook([this] { drain_deferred_frees(); });
 }
 
 int Network::event_shard(const EventPayload& payload) const {
-  if (!sharded_) return kGlobalShard;
+  // Only an engine with shard lanes asks, and its lanes need the partition.
+  if (lookahead_ == 0)
+    throw std::logic_error("network: a sharded engine requires Network::enable_sharding");
   const Coordinates& coords = topo_.coords();
   switch (payload.kind) {
     case kChunkArrive:
@@ -106,7 +111,7 @@ MsgId Network::send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data
   // Message records are allocated and released in global context only; the
   // callers of send() (replay, background traffic, tests) are global
   // handlers, so this holds by construction.
-  assert(!sharded_ || engine_.current_lane() == engine_.global_lane());
+  assert(engine_.current_lane() == engine_.global_lane());
   const MsgId id = msgs_.allocate();
   MessageRecord& m = msgs_[id];
   m.src = src;
@@ -145,11 +150,12 @@ void Network::try_inject(NodeId node, SimTime now) {
   nic.end_blocked(now);
   if (now < nic.busy_until) return;
   nic.credits -= size;
-  LaneStats& ls = stats();
+  const int lane = engine_.current_lane();
+  LaneStats& ls = lane_stats_[static_cast<std::size_t>(lane)];
   ls.bytes_injected += size;
   ls.in_fabric_delta += size;
 
-  const ChunkId cid = chunks_.allocate(sharded_ ? engine_.current_lane() : 0);
+  const ChunkId cid = chunks_.allocate(lane);
   Chunk& chunk = chunks_[cid];
   chunk.msg = head.msg;
   chunk.bytes = static_cast<std::int32_t>(size);
@@ -157,9 +163,9 @@ void Network::try_inject(NodeId node, SimTime now) {
   {
     // Attribution nests: this routing time is also inside the dispatch time
     // the engine records for the surrounding event (inclusive accounting).
-    prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::Routing,
-                               engine_.current_lane());
-    chunk.route = routing_.compute(m.src, m.dst, *this, lane_rng());
+    prof::ProfScope prof_scope(engine_.profiler(), prof::Subsystem::Routing, lane);
+    chunk.route =
+        routing_.compute(m.src, m.dst, *this, lane_rngs_[static_cast<std::size_t>(lane)]);
   }
   assert(chunk.route.size() > 0);
 
@@ -185,10 +191,10 @@ void Network::try_inject(NodeId node, SimTime now) {
     // completion (e.g. an MPI send returning) already happened.
     if (m.notify_injected && !m.injected_notified) {
       m.injected_notified = true;
-      // Sharded: the notification is a cross-lane hop into the global lane,
-      // so it rides one lookahead behind the injection.
-      engine_.schedule(sharded_ ? t_end + lookahead_ : t_end, this,
-                       EventPayload{kMsgInjected, 0, mid, 0});
+      m.injected_note_pending = true;
+      // The notification is a cross-lane hop into the global lane, so it
+      // rides one lookahead (0 without shards) behind the injection.
+      engine_.schedule(t_end + lookahead_, this, EventPayload{kMsgInjected, 0, mid, 0});
     }
   }
 }
@@ -288,14 +294,12 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
 
 void Network::release_if_done(MsgId id) {
   MessageRecord& m = msgs_[id];
-  if (m.active && m.injected == m.total && m.delivered == m.total) msgs_.release(id);
+  if (m.active && !m.injected_note_pending && !m.delivered_note_pending &&
+      m.injected == m.total && m.delivered == m.total)
+    msgs_.release(id);
 }
 
 void Network::release_chunk(ChunkId cid) {
-  if (!sharded_) {
-    chunks_.release(cid);
-    return;
-  }
   const int lane = engine_.current_lane();
   const int owner = static_cast<int>(cid >> ChunkPool::kLaneShift);
   if (lane == owner || lane == engine_.global_lane())
@@ -392,9 +396,10 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const bool done = m.delivered == m.total;
       release_chunk(cid);
       if (done) {
-        if (sharded_) {
+        if (sharded()) {
           // Completion crosses from the destination lane into global (sink)
           // territory: one lookahead later, handled with shards parked.
+          m.delivered_note_pending = true;
           engine_.schedule(now + lookahead_, this, EventPayload{kMsgDelivered, 0, mid, 0});
         } else {
           if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
@@ -406,6 +411,8 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     case kMsgInjected: {
       const auto mid = static_cast<MsgId>(payload.b);
       MessageRecord& m = msgs_[mid];
+      assert(m.active && m.injected_note_pending);
+      m.injected_note_pending = false;  // before the sink: send() may move `m`
       if (sink_) sink_->on_message_injected(mid, m.user_data, now);
       release_if_done(mid);
       break;
@@ -413,6 +420,8 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
     case kMsgDelivered: {
       const auto mid = static_cast<MsgId>(payload.b);
       MessageRecord& m = msgs_[mid];
+      assert(m.active && m.delivered_note_pending);
+      m.delivered_note_pending = false;
       if (m.notify_delivered && sink_) sink_->on_message_delivered(mid, m.user_data, now);
       release_if_done(mid);
       break;
@@ -486,7 +495,7 @@ void Network::account_drop(ChunkId cid, SimTime now) {
   ls.in_fabric_delta -= bytes;
   ++ls.chunks_dropped;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial) tracer_->on_dropped(chunk.trace_serial, now);
-  if (sharded_ && engine_.current_lane() != engine_.global_lane()) {
+  if (engine_.current_lane() != engine_.global_lane()) {
     // A shard (possibly an intermediate group) may not touch the message
     // record; the message-side accounting travels to the source lane one
     // lookahead later.
@@ -507,7 +516,7 @@ void Network::apply_drop_to_message(MsgId id, Bytes bytes, SimTime now) {
 }
 
 void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now) {
-  assert(!sharded_ || engine_.current_lane() == engine_.global_lane());
+  assert(engine_.current_lane() == engine_.global_lane());
   OutPort& op = routers_[rid].port(port);
   if (up) {
     try_send(rid, port, now);
@@ -607,6 +616,8 @@ void Network::save_state(ckpt::Writer& w) const {
     w.u32(m.retx_attempts);
     w.boolean(m.retx_scheduled);
     w.boolean(m.injected_notified);
+    w.boolean(m.injected_note_pending);
+    w.boolean(m.delivered_note_pending);
     w.u64(m.user_data);
     w.boolean(m.notify_injected);
     w.boolean(m.notify_delivered);
@@ -669,11 +680,8 @@ void Network::save_state(ckpt::Writer& w) const {
     w.i64(ls.chunks_dropped);
     w.i64(ls.retransmit_events);
   }
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  if (sharded_) {
-    for (const Rng& lane_rng : lane_rngs_)
-      for (const std::uint64_t word : lane_rng.state()) w.u64(word);
-  }
+  for (const Rng& lane_rng : lane_rngs_)
+    for (const std::uint64_t word : lane_rng.state()) w.u64(word);
 }
 
 void Network::load_state(ckpt::Reader& r) {
@@ -722,6 +730,8 @@ void Network::load_state(ckpt::Reader& r) {
     m.retx_attempts = static_cast<std::uint16_t>(r.u32());
     m.retx_scheduled = r.boolean();
     m.injected_notified = r.boolean();
+    m.injected_note_pending = r.boolean();
+    m.delivered_note_pending = r.boolean();
     m.user_data = r.u64();
     m.notify_injected = r.boolean();
     m.notify_delivered = r.boolean();
@@ -810,13 +820,9 @@ void Network::load_state(ckpt::Reader& r) {
     ls.retransmit_events = r.i64();
   }
   std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  rng_.set_state(rng_state);
-  if (sharded_) {
-    for (Rng& lane_rng : lane_rngs_) {
-      for (std::uint64_t& word : rng_state) word = r.u64();
-      lane_rng.set_state(rng_state);
-    }
+  for (Rng& lane_rng : lane_rngs_) {
+    for (std::uint64_t& word : rng_state) word = r.u64();
+    lane_rng.set_state(rng_state);
   }
   if (!conservation_ok()) bad_state("conservation audit failed after restore");
 }

@@ -20,17 +20,22 @@
 //                        upstream sender (one link latency later); the chunk
 //                        arrives downstream (kChunkArrive or kDeliver).
 //
-// Sharded engine support (enable_sharding, DESIGN.md §10): router/NIC/port
-// state partitions cleanly by dragonfly group, so fabric events classify to
-// the lane of the state they touch and the eight global counters become
-// per-lane blocks summed on read. Chunk allocation uses per-lane arenas;
-// cross-lane frees are deferred to the barrier. Message records are only
-// ever allocated/released in global context; the two message-side
-// transitions a shard cannot apply directly — delivery completion and drop
-// accounting — travel as lookahead-delayed events (kMsgDelivered,
-// kDropNotify). Remote-congestion routing (UGAL-G) reads fabric state along
-// the whole path, which no group owns; such runs keep every event on the
-// global lane and stay byte-identical to the serial engine.
+// Lanes (DESIGN.md §10): the network keeps one slice of its mutable
+// bookkeeping per engine lane — counter block, chunk arena, deferred-free
+// list and routing RNG stream — and always indexes it by the dispatching
+// lane. Over an engine without shard lanes that is one slice, whose RNG is
+// the master routing stream itself. enable_sharding re-partitions it per
+// lane of a sharded engine: router/NIC/port state splits cleanly by
+// dragonfly group, so fabric events classify to the lane of the state they
+// touch, and the counter blocks are summed on read. Cross-lane chunk frees
+// are deferred to the barrier. Message records are only ever allocated and
+// released in global context; the message-side transitions a shard cannot
+// apply directly — injection and delivery notifications and drop accounting
+// — travel as events one lookahead later (kMsgInjected, kMsgDelivered,
+// kDropNotify); the lookahead is 0 without shards. Remote-congestion routing
+// (UGAL-G) reads fabric state along the whole path, which no group owns, so
+// it cannot shard: enable_sharding rejects it, and run_experiment runs it on
+// an engine without shard lanes at any thread count.
 #pragma once
 
 #include <memory>
@@ -59,12 +64,11 @@ class Network : public EventHandler, public CongestionView {
   /// Engine::enable_sharding, before any traffic): per-lane chunk arenas,
   /// counter blocks and RNG streams, and the barrier quiesce hook for
   /// deferred cross-lane frees. `lookahead` must equal the engine's (the
-  /// global-link latency). No-op — the network stays on the serial path,
-  /// which is still correct under a sharded engine because every event then
-  /// defaults to the global lane — when the routing algorithm reads remote
-  /// congestion (UGAL-G).
+  /// global-link latency). Throws std::logic_error when the routing algorithm
+  /// reads remote congestion (UGAL-G). A sharded engine requires this call:
+  /// its first network event throws std::logic_error otherwise.
   void enable_sharding(SimTime lookahead);
-  bool sharded() const { return sharded_; }
+  bool sharded() const { return lookahead_ > 0; }
 
   void set_sink(MessageSink* sink) { sink_ = sink; }
 
@@ -74,9 +78,8 @@ class Network : public EventHandler, public CongestionView {
   void set_tracer(ChunkPathTracer* tracer) { tracer_ = tracer; }
 
   /// Queues a message for injection at `src`'s NIC (src != dst). May be
-  /// called before the simulation starts or from within event processing
-  /// (global context only when sharded — which replay/background/fault
-  /// handlers are).
+  /// called before the simulation starts or from within event processing in
+  /// global context (replay/background/fault handlers run there).
   MsgId send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data = 0,
              bool notify_injected = false, bool notify_delivered = false);
 
@@ -145,11 +148,11 @@ class Network : public EventHandler, public CongestionView {
   /// Checkpoint support (src/ckpt/): serializes every piece of fabric state —
   /// per-port queues/credits/metrics, NIC queues and retransmit accounting,
   /// the per-lane chunk arenas and the message pool with their free lists,
-  /// hop stats, the per-lane conservation counter blocks and the routing RNG
-  /// stream(s). load_state validates structural invariants (port counts, pool
-  /// indices, route lengths) and throws std::runtime_error on any mismatch;
-  /// it requires a freshly constructed Network over the same topology,
-  /// parameters, and lane partitioning.
+  /// hop stats, the per-lane conservation counter blocks and the per-lane
+  /// routing RNG streams. load_state validates structural invariants (port
+  /// counts, pool indices, route lengths) and throws std::runtime_error on any
+  /// mismatch; it requires a freshly constructed Network over the same
+  /// topology, parameters, and lane partitioning.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -161,17 +164,18 @@ class Network : public EventHandler, public CongestionView {
     kCreditToNic = 4,    // b=node, c=bytes
     kNicFree = 5,        // b=node
     kDeliver = 6,        // a=chunk
-    kMsgInjected = 7,    // b=msg
     kRetransmit = 8,     // b=msg
-    // Sharded-mode transitions crossing from a shard into message-record
-    // territory, delayed by one lookahead so the conservative bound holds.
+    // Transitions crossing from a shard into message-record territory,
+    // delayed by one lookahead (0 without shards) so the conservative bound
+    // holds. kDeliver completes inline without shards (no kMsgDelivered).
+    kMsgInjected = 7,    // b=msg         (global lane: sink notify + release)
     kMsgDelivered = 9,   // b=msg         (global lane: sink notify + release)
     kDropNotify = 10,    // b=msg, c=bytes (source lane: message-side drop accounting)
   };
 
   /// Per-lane slice of the global byte/chunk counters; each block is written
   /// only by its lane's worker (or the coordinator in global context), and
-  /// the public accessors sum the blocks. One block when unsharded.
+  /// the public accessors sum the blocks. One block without shard lanes.
   struct alignas(64) LaneStats {
     std::uint64_t chunks_forwarded = 0;
     Bytes bytes_delivered = 0;
@@ -195,16 +199,8 @@ class Network : public EventHandler, public CongestionView {
     for (const LaneStats& s : lane_stats_) total += s.*field;
     return total;
   }
-  /// The current execution context's stats shard. Guarded on the network's
-  /// own sharded_ flag, not the engine's: under the remote-congestion
-  /// fallback the engine is sharded (all network events on its global lane)
-  /// while the network keeps single-lane storage.
-  LaneStats& stats() {
-    return lane_stats_[sharded_ ? static_cast<std::size_t>(engine_.current_lane()) : 0];
-  }
-  Rng& lane_rng() {
-    return sharded_ ? lane_rngs_[static_cast<std::size_t>(engine_.current_lane())] : rng_;
-  }
+  /// The dispatching lane's stats block.
+  LaneStats& stats() { return lane_stats_[static_cast<std::size_t>(engine_.current_lane())]; }
 
   /// Wire time of `bytes` on a channel of `kind`; full chunks, the common
   /// case, read a table filled at construction.
@@ -243,13 +239,13 @@ class Network : public EventHandler, public CongestionView {
   NetworkParams params_;
   SimTime full_chunk_time_[4] = {};  ///< transfer_time of chunk_bytes, per PortKind
   const RoutingAlgorithm& routing_;
-  Rng rng_;  ///< master routing stream; drawn from directly when unsharded
   MessageSink* sink_;
   ChunkPathTracer* tracer_ = nullptr;
 
-  bool sharded_ = false;
-  SimTime lookahead_ = 0;
-  std::vector<Rng> lane_rngs_;  ///< per-lane streams of rng_ (sharded only)
+  SimTime lookahead_ = 0;  ///< the engine's lookahead; 0 without shard lanes
+  /// Per-lane routing streams: the master stream itself on one lane, its
+  /// Rng::stream(lane) children once sharded.
+  std::vector<Rng> lane_rngs_;
   /// deferred_frees_[l]: chunks lane l released that belong to another lane.
   std::vector<std::vector<ChunkId>> deferred_frees_;
 

@@ -108,9 +108,10 @@ class RoutingAlgorithm {
   virtual void on_topology_changed() {}
 
   /// True when compute() reads congestion state beyond the source router's
-  /// own output queues (UGAL-G scores whole candidate paths). The sharded
-  /// network cannot partition such reads by group, so it keeps these runs on
-  /// the serial dispatch path (Network::enable_sharding becomes a no-op).
+  /// own output queues (UGAL-G scores whole candidate paths). A sharded
+  /// network cannot partition such reads by group: Network::enable_sharding
+  /// rejects these algorithms, and run_experiment runs them on an engine
+  /// without shard lanes at any thread count.
   virtual bool uses_remote_congestion() const { return false; }
 
   virtual std::string name() const = 0;

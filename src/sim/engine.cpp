@@ -14,7 +14,7 @@ namespace {
 constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
 }  // namespace
 
-thread_local Engine::BatchCtx* Engine::tls_batch_ = nullptr;
+constinit thread_local Engine::BatchCtx* Engine::tls_batch_ = nullptr;
 
 Engine::~Engine() {
   if (!pool_.empty()) {
@@ -29,7 +29,8 @@ Engine::~Engine() {
 
 void Engine::enable_sharding(const ShardingOptions& opts) {
   if (sharded()) throw std::logic_error("engine: sharding already enabled");
-  if (seq_ != 0 || processed_ != 0 || !queue_.empty())
+  const Lane& global = lanes_.back();
+  if (global.counter != 0 || processed_ != 0 || !global.queue.empty())
     throw std::logic_error("engine: enable_sharding requires a fresh engine");
   if (opts.shards < 1) throw std::invalid_argument("engine: shards must be >= 1");
   if (opts.lookahead < 1) throw std::invalid_argument("engine: lookahead must be >= 1");
@@ -55,38 +56,35 @@ SimTime Engine::event_now() const {
   return (ctx != nullptr && ctx->engine == this) ? ctx->now : now_;
 }
 
-int Engine::current_lane() const {
-  const BatchCtx* ctx = tls_batch_;
-  if (ctx != nullptr && ctx->engine == this) return ctx->lane;
-  return global_lane();
-}
-
 std::uint64_t Engine::lane_processed(int lane) const {
   assert(lane >= 0 && lane < lanes());
-  return sharded() ? lanes_[static_cast<std::size_t>(lane)].processed : processed_;
+  return lanes_[static_cast<std::size_t>(lane)].processed;
 }
 
 void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload) {
   assert(handler != nullptr);
-  if (!sharded()) {
+  const int global = global_lane();
+  BatchCtx* ctx = tls_batch_;
+  if (ctx == nullptr || ctx->engine != this) {
+    // Global context (setup, or a global event running alone with every shard
+    // parked): the event may go straight into any lane's queue. Only shard
+    // lanes give the handler a choice.
     assert(when >= now_ && "cannot schedule into the past");
-    queue_.push(QueuedEvent{when, seq_++, handler, payload});
+    Lane& from = lanes_.back();
+    const QueuedEvent ev{when, pack_seq(global, from.counter++), handler, payload};
+    const int target = global == 0 ? EventHandler::kGlobalShard : handler->event_shard(payload);
+    assert(target == EventHandler::kGlobalShard || (target >= 0 && target < global));
+    Lane& to = target == EventHandler::kGlobalShard ? from : lanes_[static_cast<std::size_t>(target)];
+    to.queue.push(ev);
     return;
   }
-  BatchCtx* ctx = tls_batch_;
-  if (ctx != nullptr && ctx->engine != this) ctx = nullptr;
-  const int src = ctx != nullptr ? ctx->lane : global_lane();
-  assert(when >= (ctx != nullptr ? ctx->now : now_) && "cannot schedule into the past");
+  assert(when >= ctx->now && "cannot schedule into the past");
   int target = handler->event_shard(payload);
-  if (target == EventHandler::kGlobalShard) target = global_lane();
-  assert(target >= 0 && target < static_cast<int>(lanes_.size()));
-  Lane& from = lanes_[static_cast<std::size_t>(src)];
-  const QueuedEvent ev{when, pack_seq(src, from.counter++), handler, payload};
-  if (src == global_lane()) {
-    // Global events run alone with every shard parked, so the coordinator may
-    // push directly into any lane's queue.
-    lanes_[static_cast<std::size_t>(target)].queue.push(ev);
-  } else if (target == src) {
+  if (target == EventHandler::kGlobalShard) target = global;
+  assert(target >= 0 && target <= global);
+  Lane& from = lanes_[static_cast<std::size_t>(ctx->lane)];
+  const QueuedEvent ev{when, pack_seq(ctx->lane, from.counter++), handler, payload};
+  if (target == ctx->lane) {
     from.queue.push(ev);  // same-lane: runs within this batch if when <= bound
   } else {
     // Cross-shard: staged in the scheduling lane's outbox, merged at the
@@ -95,26 +93,6 @@ void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload)
     assert(when > ctx->bound && "cross-shard send violates the lookahead bound");
     from.outbox.emplace_back(target, ev);
   }
-}
-
-bool Engine::step() {
-  if (stop_requested_) return false;
-  if (queue_.empty()) return false;
-  if (event_limit_ != 0 && processed_ >= event_limit_) {
-    hit_limit_ = true;
-    return false;
-  }
-  const QueuedEvent ev = queue_.pop_min();
-  now_ = ev.time;
-  ++processed_;
-  if (profiler_ == nullptr) {
-    ev.handler->handle_event(now_, ev.payload);
-  } else {
-    const std::int64_t t0 = prof::Profiler::now_ns();
-    ev.handler->handle_event(now_, ev.payload);
-    profiler_->record_dispatch(0, prof::Profiler::now_ns() - t0);
-  }
-  return true;
 }
 
 SimTime Engine::run() { return run_slice(kMaxTime); }
@@ -128,25 +106,10 @@ SimTime Engine::run_until(SimTime deadline) {
 }
 
 SimTime Engine::run_slice(SimTime deadline) {
-  return sharded() ? run_slice_sharded(deadline) : run_slice_serial(deadline);
-}
-
-SimTime Engine::run_slice_serial(SimTime deadline) {
-  while (!queue_.empty() && queue_.min().time <= deadline) {
-    if (!step()) break;
-  }
-  return now_;
-}
-
-SimTime Engine::run_slice_sharded(SimTime deadline) {
-  const int nshards = static_cast<int>(lanes_.size()) - 1;
+  const int nshards = global_lane();
   Lane& global = lanes_.back();
   for (;;) {
     if (stop_requested_) break;
-    if (event_limit_ != 0 && processed_ >= event_limit_) {
-      hit_limit_ = true;
-      break;
-    }
     SimTime tmin = kMaxTime;
     for (int i = 0; i < nshards; ++i) {
       Lane& lane = lanes_[static_cast<std::size_t>(i)];
@@ -155,25 +118,28 @@ SimTime Engine::run_slice_sharded(SimTime deadline) {
     const SimTime tg = global.queue.empty() ? kMaxTime : global.queue.min().time;
     if (tmin == kMaxTime && tg == kMaxTime) break;  // drained
     if (std::min(tmin, tg) > deadline) break;
+    // After the drain check: a run that ends exactly at the limit did not hit it.
+    if (event_limit_ != 0 && processed_ >= event_limit_) {
+      hit_limit_ = true;
+      break;
+    }
     if (tg < tmin) {
       // Dispatch exactly one global event, alone: shards are parked, so the
       // handler may touch any state, and anything it schedules lands before
-      // the next batch bound is computed.
+      // the next batch bound is computed. No BatchCtx is installed — an
+      // absent context already means "global lane at now_".
       const QueuedEvent ev = global.queue.pop_min();
       now_ = ev.time;
       global.last_time = ev.time;
       ++global.processed;
       ++processed_;
-      BatchCtx ctx{this, global_lane(), kMaxTime, ev.time};
-      tls_batch_ = &ctx;
       if (profiler_ == nullptr) {
-        ev.handler->handle_event(now_, ev.payload);
+        ev.handler->handle_event(ev.time, ev.payload);
       } else {
         const std::int64_t t0 = prof::Profiler::now_ns();
-        ev.handler->handle_event(now_, ev.payload);
-        profiler_->record_dispatch(global_lane(), prof::Profiler::now_ns() - t0);
+        ev.handler->handle_event(ev.time, ev.payload);
+        profiler_->record_dispatch(nshards, prof::Profiler::now_ns() - t0);
       }
-      tls_batch_ = nullptr;
       continue;
     }
     // Conservative batch: every shard event in [tmin, bound] is independent
@@ -296,14 +262,12 @@ void Engine::merge_outboxes() {
 }
 
 std::size_t Engine::pending() const {
-  if (!sharded()) return queue_.size();
   std::size_t total = 0;
   for (const Lane& lane : lanes_) total += lane.queue.size();
   return total;
 }
 
 const SchedulerStats& Engine::scheduler_stats() const {
-  if (!sharded()) return queue_.stats();
   agg_stats_ = SchedulerStats{};
   for (const Lane& lane : lanes_) {
     const SchedulerStats& s = lane.queue.stats();
@@ -320,14 +284,6 @@ const SchedulerStats& Engine::scheduler_stats() const {
 
 void Engine::save_state(ckpt::Writer& w,
                         const std::function<std::uint32_t(EventHandler*)>& id_of) const {
-  w.u8(sharded() ? 1 : 0);
-  if (!sharded()) {
-    w.i64(now_);
-    w.u64(seq_);
-    w.u64(processed_);
-    queue_.save_state(w, id_of);
-    return;
-  }
   // Per-lane state only — nothing here depends on the thread count, so a
   // snapshot taken at threads=2 resumes bit-exactly at any thread count.
   // Saves happen at quiesce points, where every outbox is empty.
@@ -346,25 +302,13 @@ void Engine::save_state(ckpt::Writer& w,
 void Engine::load_state(ckpt::Reader& r,
                         const std::function<EventHandler*(std::uint32_t)>& handler_of) {
   assert(pending() == 0 && processed_ == 0 && "load_state requires a fresh engine");
-  const std::uint8_t mode = r.u8();
-  if (mode != (sharded() ? 1 : 0))
-    throw std::runtime_error(
-        "snapshot: engine mode mismatch (snapshot and run must both be serial "
-        "or both sharded with the same shard count)");
-  if (mode == 0) {
-    now_ = r.i64();
-    seq_ = r.u64();
-    processed_ = r.u64();
-    if (now_ < 0 || processed_ > seq_)
-      throw std::runtime_error("snapshot: inconsistent engine clock state");
-    queue_.load_state(r, handler_of);
-    return;
-  }
   now_ = r.i64();
   processed_ = r.u64();
   const std::uint32_t nlanes = r.u32();
   if (nlanes != lanes_.size())
-    throw std::runtime_error("snapshot: sharded engine lane count mismatch");
+    throw std::runtime_error(
+        "snapshot: engine lane count mismatch (snapshot and run must both run threads=0, "
+        "or both run sharded with the same shard count)");
   std::uint64_t total = 0;
   for (Lane& lane : lanes_) {
     lane.counter = r.u64();

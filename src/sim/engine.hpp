@@ -1,28 +1,29 @@
-// Discrete-event simulation engine: sequential by default, optionally
-// sharded into per-dragonfly-group logical processes with conservative
-// (lookahead-based) parallel synchronization.
+// Discrete-event simulation engine: one dispatch path over one or more
+// lanes — a global lane, plus (optionally) one shard lane per dragonfly group
+// run in parallel under conservative (lookahead-based) synchronization.
 //
 // Design notes:
 //  * Events carry a small POD payload and a handler pointer; dispatch is one
 //    virtual call into the owning subsystem, which switches on `kind`. This
 //    avoids a std::function allocation per event — the simulator schedules
 //    tens of millions of events per experiment.
-//  * Ties in time are broken by a monotonically increasing sequence number so
-//    execution order (and therefore every simulation result) is fully
-//    deterministic for a given seed.
-//  * The pending-event set lives in a calendar queue (sim/event_queue.hpp):
-//    O(1) amortised scheduling for the near-monotonic event stream, with a
-//    heap-backed overflow tier for far-future timers.
-//  * Sharded mode (enable_sharding) gives every dragonfly group its own lane
-//    — a private calendar queue, sequence counter and outbox — plus one
-//    global lane for handlers that touch cross-group state. Shard lanes run
-//    in parallel inside lookahead-bounded batches; global events run alone,
-//    between batches, with every shard parked. The sequence number embeds the
-//    scheduling lane, so the total dispatch order per lane is a pure function
-//    of the configuration — a run with threads=N is bit-identical to the
+//  * Ties in time are broken by a sequence number that embeds the scheduling
+//    lane and a per-lane counter, so execution order (and therefore every
+//    simulation result) is fully deterministic for a given seed.
+//  * Every lane's pending-event set lives in a calendar queue
+//    (sim/event_queue.hpp): O(1) amortised scheduling for the near-monotonic
+//    event stream, with a heap-backed overflow tier for far-future timers.
+//  * The global lane always exists. It runs handlers that touch cross-group
+//    state, one event at a time, with every shard parked. enable_sharding adds
+//    one shard lane per dragonfly group — a private calendar queue, sequence
+//    counter and outbox — and shard lanes run in parallel inside
+//    lookahead-bounded batches. The dispatch order per lane is a pure function
+//    of the configuration, so a run with threads=N is bit-identical to the
 //    threads=1 run of the same sharded configuration (DESIGN.md §10).
-//  * threads=0 (the default, no enable_sharding call) keeps the original
-//    single-queue engine, bit-identical to the pre-sharding behaviour.
+//  * threads=0 (the default, no enable_sharding call) is the same engine with
+//    zero shard lanes: every event runs alone on the global lane, and since
+//    the global lane's sequence numbers are its plain counter, dispatch order
+//    is strictly (time, schedule order).
 #pragma once
 
 #include <atomic>
@@ -57,24 +58,27 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Switches the engine into sharded mode. Must be called on a fresh engine
-  /// (no events scheduled, nothing processed). Spawns threads-1 helper
-  /// workers; threads=1 runs the same sharded semantics serially and is the
+  /// Adds the shard lanes. Must be called on a fresh engine (no events
+  /// scheduled, nothing processed). Spawns threads-1 helper workers;
+  /// threads=1 runs the same sharded semantics serially and is the
   /// byte-equality oracle for threads>=2.
   void enable_sharding(const ShardingOptions& opts);
-  bool sharded() const { return !lanes_.empty(); }
+  /// True when the engine has shard lanes (enable_sharding was called).
+  bool sharded() const { return lanes_.size() > 1; }
 
-  /// Lane count: shards + 1 (global lane) when sharded, 1 otherwise.
-  /// Subsystems size their per-lane state (counters, RNG streams, chunk
-  /// arenas) from this.
-  int lanes() const { return sharded() ? static_cast<int>(lanes_.size()) : 1; }
-  /// Index of the global lane (== shard count); 0 when unsharded.
-  int global_lane() const { return sharded() ? static_cast<int>(lanes_.size()) - 1 : 0; }
-  /// The lane whose event is currently dispatching on this thread; the global
-  /// lane outside dispatch (setup, global handlers), 0 when unsharded.
-  int current_lane() const;
-  /// Events dispatched by one lane (sharded mode; used by the bench's
-  /// load-balance model).
+  /// Lane count: shards + 1 (the global lane). Subsystems size their per-lane
+  /// state (counters, RNG streams, chunk arenas) from this.
+  int lanes() const { return static_cast<int>(lanes_.size()); }
+  /// Index of the global lane (== shard count; 0 without shards).
+  int global_lane() const { return static_cast<int>(lanes_.size()) - 1; }
+  /// The shard lane whose event is currently dispatching on this thread; the
+  /// global lane everywhere else (setup, global handlers). Inline: the
+  /// network indexes its per-lane state with it on every event.
+  int current_lane() const {
+    const BatchCtx* ctx = tls_batch_;
+    return ctx != nullptr && ctx->engine == this ? ctx->lane : global_lane();
+  }
+  /// Events dispatched by one lane (used by the bench's load-balance model).
   std::uint64_t lane_processed(int lane) const;
 
   /// Invoked by the coordinator at every safe-time barrier (after the shard
@@ -91,10 +95,11 @@ class Engine {
   prof::Profiler* profiler() const { return profiler_; }
 
   /// Schedules `payload` for delivery to `handler` at absolute time `when`.
-  /// `when` must not precede the current time. In sharded mode the event is
-  /// routed to handler->event_shard(payload)'s lane; cross-shard sends from a
-  /// shard must land strictly after the current batch bound (guaranteed by
-  /// the lookahead = the global-link latency).
+  /// `when` must not precede the current time. With shard lanes the event is
+  /// routed to handler->event_shard(payload)'s lane (without them the handler
+  /// is never asked); cross-shard sends from a shard must land strictly after
+  /// the current batch bound (guaranteed by the lookahead = the global-link
+  /// latency).
   void schedule(SimTime when, EventHandler* handler, EventPayload payload);
 
   /// Convenience: schedule relative to the dispatching event's time.
@@ -121,32 +126,32 @@ class Engine {
   std::size_t pending() const;
 
   /// Aborts run() after this many further events (0 = unlimited); used by
-  /// tests as a deadlock/livelock watchdog. In sharded mode the limit is
-  /// checked at batch boundaries, so the overshoot is deterministic but may
-  /// exceed the limit by up to one batch.
+  /// tests as a deadlock/livelock watchdog. The limit is checked before every
+  /// global event and every shard batch, so with shard lanes the overshoot is
+  /// deterministic but may exceed the limit by up to one batch.
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
   bool hit_event_limit() const { return hit_limit_; }
 
   /// Makes run()/run_until() return before dispatching any further event.
   /// Callable from inside an event handler (the HealthMonitor uses this to
-  /// halt a stalled simulation while its state is still inspectable). In
-  /// sharded mode it is honoured at the next batch boundary.
+  /// halt a stalled simulation while its state is still inspectable). A shard
+  /// lane's request is honoured at the next batch boundary.
   void request_stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
 
   /// Occupancy and resize counters of the calendar scheduler (reported by
-  /// HealthMonitor and metrics/); summed across lanes in sharded mode.
+  /// HealthMonitor and metrics/), summed across lanes.
   const SchedulerStats& scheduler_stats() const;
 
-  /// Checkpoint support (src/ckpt/): serializes the clock, sequence
-  /// counter(s), processed count(s) and the complete pending-event set,
-  /// preceded by a mode byte (0 = serial, 1 = sharded; a snapshot only loads
-  /// into an engine in the same mode). Sharded state is saved per lane and is
-  /// independent of the thread count, so a run checkpointed at threads=2
-  /// resumes bit-exactly at threads=4 (or 1). Handlers are mapped to stable
-  /// small ids by `id_of` / `handler_of` (the checkpoint layer owns the
-  /// registry). load_state requires a freshly constructed (but possibly
-  /// already sharding-enabled) engine. Sharded saves are only taken at
+  /// Checkpoint support (src/ckpt/): serializes the clock, the processed
+  /// count and, per lane, the sequence counter, processed count and complete
+  /// pending-event set. Nothing saved depends on the thread count, so a run
+  /// checkpointed at threads=2 resumes bit-exactly at threads=4 (or 1); a
+  /// snapshot only loads into an engine with the same lane count, so one
+  /// taken at threads=0 and one taken with shards never cross. Handlers are
+  /// mapped to stable small ids by `id_of` / `handler_of` (the checkpoint
+  /// layer owns the registry). load_state requires a freshly constructed (but
+  /// possibly already sharding-enabled) engine. Saves are only taken at
   /// quiesce points (run_slice boundaries), where every outbox is empty.
   void save_state(ckpt::Writer& w,
                   const std::function<std::uint32_t(EventHandler*)>& id_of) const;
@@ -166,19 +171,18 @@ class Engine {
     std::vector<std::pair<int, QueuedEvent>> outbox;
   };
 
-  /// Per-thread dispatch context, live while a worker executes one lane of
-  /// one batch (or the coordinator executes a global event).
+  /// Per-thread dispatch context, live while a worker executes one shard lane
+  /// of one batch. Global events run without one: no context means the
+  /// global lane at now_.
   struct BatchCtx {
     Engine* engine;
     int lane;
-    SimTime bound;  ///< batch safe-time bound (max SimTime for global events)
+    SimTime bound;  ///< batch safe-time bound
     SimTime now;    ///< time of the event currently dispatching
   };
-  static thread_local BatchCtx* tls_batch_;
+  /// constinit: other translation units read it without a TLS init wrapper.
+  static constinit thread_local BatchCtx* tls_batch_;
 
-  bool step();
-  SimTime run_slice_serial(SimTime deadline);
-  SimTime run_slice_sharded(SimTime deadline);
   void run_batch(SimTime bound);
   void run_lane(int lane, SimTime bound);
   void work_lanes();
@@ -190,11 +194,6 @@ class Engine {
     return (static_cast<std::uint64_t>(lane) << 48) | counter;
   }
 
-  // --- serial (unsharded) state ---
-  CalendarEventQueue queue_;
-  std::uint64_t seq_ = 0;
-
-  // --- shared state ---
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t event_limit_ = 0;
@@ -203,8 +202,9 @@ class Engine {
   mutable SchedulerStats agg_stats_;
   prof::Profiler* profiler_ = nullptr;
 
-  // --- sharded state (empty/idle when unsharded) ---
-  std::vector<Lane> lanes_;  ///< shards + 1 (last = global lane)
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);  ///< shards + 1 (last = global lane)
+
+  // --- shard state (idle without shard lanes) ---
   SimTime lookahead_ = 0;
   int threads_ = 1;
   std::function<void()> quiesce_hook_;

@@ -21,6 +21,7 @@
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
+#include "net/network.hpp"
 #include "routing/valiant.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -114,11 +115,32 @@ TEST(ParallelEquivalence, ContiguousValiantIsByteExact) {
 }
 
 // UGAL-G reads congestion along whole candidate paths — state no shard owns —
-// so the network declines to shard and every event stays on the global lane.
-// The run must still be byte-exact at any worker count.
+// so run_experiment runs it on the engine without shard lanes at every thread
+// count: threads=1, threads=2 and threads=0 must all export the same bytes.
 TEST(ParallelEquivalence, RemoteCongestionRoutingStaysExactViaSerialFallback) {
   expect_byte_equal_across_threads({PlacementKind::Contiguous, RoutingKind::AdaptiveGlobal},
-                                   "par-cg", /*with_faults=*/false, {2});
+                                   "par-cg", /*with_faults=*/false, {2, 0});
+}
+
+// No run pairs a sharded engine with an unsharded network: the network
+// refuses to shard for remote-congestion routing, and a sharded engine whose
+// network was never partitioned fails on the first network event.
+TEST(ParallelEquivalence, ShardedEngineRequiresAPartitionedNetwork) {
+  const DragonflyTopology topo(TopoParams::tiny());
+  const NetworkParams params = NetworkParams::theta();
+  for (const RoutingKind kind : {RoutingKind::AdaptiveGlobal, RoutingKind::Minimal}) {
+    Engine engine;
+    ShardingOptions sharding;
+    sharding.shards = topo.params().groups;
+    sharding.lookahead = params.global_latency;
+    engine.enable_sharding(sharding);
+    const std::unique_ptr<RoutingAlgorithm> routing = make_routing(kind, topo);
+    Network network(engine, topo, params, *routing, Rng(1));
+    if (kind == RoutingKind::AdaptiveGlobal) {
+      EXPECT_THROW(network.enable_sharding(params.global_latency), std::logic_error);
+    }
+    EXPECT_THROW(network.send(0, 1, 4096), std::logic_error) << to_string(kind);
+  }
 }
 
 TEST(ParallelEquivalence, FaultInjectionRunIsByteExact) {
@@ -182,10 +204,21 @@ TEST(ParallelEquivalence, ShardedSnapshotIsRejectedBySerialEngine) {
   ASSERT_TRUE(run_experiment(workload, config, interrupted).stopped_at_checkpoint);
 
   ExperimentOptions wrong_mode = interrupted;
-  wrong_mode.threads = 0;  // classic serial engine cannot adopt a sharded queue
+  wrong_mode.threads = 0;  // an engine without shard lanes cannot adopt a sharded queue
   wrong_mode.checkpoint.resume = true;
   wrong_mode.checkpoint.stop_after = 0;
   EXPECT_THROW(run_experiment(workload, config, wrong_mode), std::runtime_error);
+  std::remove(snapshot.c_str());
+
+  // And the reverse: a threads=0 snapshot does not resume sharded.
+  ExperimentOptions unsharded = interrupted;
+  unsharded.threads = 0;
+  ASSERT_TRUE(run_experiment(workload, config, unsharded).stopped_at_checkpoint);
+  ExperimentOptions resumed_sharded = unsharded;
+  resumed_sharded.threads = 2;
+  resumed_sharded.checkpoint.resume = true;
+  resumed_sharded.checkpoint.stop_after = 0;
+  EXPECT_THROW(run_experiment(workload, config, resumed_sharded), std::runtime_error);
   std::remove(snapshot.c_str());
 }
 
