@@ -33,6 +33,7 @@
 #include "routing/valiant.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "support/heap_event_queue.hpp"
 
 namespace dfly {
 namespace {

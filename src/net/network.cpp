@@ -39,9 +39,13 @@ Network::Network(Engine& engine, const DragonflyTopology& topo, const NetworkPar
        {PortKind::Terminal, PortKind::LocalRow, PortKind::LocalCol, PortKind::Global})
     full_chunk_time_[static_cast<int>(kind)] =
         units::transfer_time(params_.chunk_bytes, params_.bandwidth(kind));
-  const int routers = topo_.params().total_routers();
-  routers_.reserve(routers);
-  for (RouterId r = 0; r < routers; ++r) routers_.emplace_back(topo_, params_, r, kMaxRouteHops);
+  ports_.resize(static_cast<std::size_t>(topo_.total_channels()));
+  for (int channel = 0; channel < topo_.total_channels(); ++channel) {
+    OutPort& op = port(channel);
+    op.kind = topo_.port_kind(topo_.channel_port(channel));
+    // Downstream input buffer: one buffer per VC, sized by channel kind.
+    if (!op.is_terminal()) op.credits.assign(kMaxRouteHops, params_.vc_buffer(op.kind));
+  }
   nics_.resize(topo_.params().total_nodes());
   for (Nic& nic : nics_) nic.credits = params_.terminal_vc_buffer;
   hop_stats_.resize(nics_.size());
@@ -129,7 +133,7 @@ MsgId Network::send(NodeId src, NodeId dst, Bytes bytes, std::uint64_t user_data
 }
 
 Bytes Network::queued_bytes(RouterId router, int port) const {
-  return routers_[router].port(port).queued_bytes;
+  return ports_[static_cast<std::size_t>(topo_.channel_id(router, port))].queued_bytes;
 }
 
 void Network::try_inject(NodeId node, SimTime now) {
@@ -199,10 +203,9 @@ void Network::try_inject(NodeId node, SimTime now) {
   }
 }
 
-void Network::try_send(RouterId rid, int port, SimTime now) {
-  Router& router = routers_[rid];
-  OutPort& op = router.port(port);
-  if (!link_up(rid, port)) return;  // link down: nothing moves
+void Network::try_send(int channel, SimTime now) {
+  OutPort& op = port(channel);
+  if (!link_up(channel)) return;  // link down: nothing moves
   if (op.queue.empty()) {
     op.end_blocked(now);
     return;
@@ -246,10 +249,10 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   if (now < op.busy_until) return;
 
   const ChunkId cid = op.queue[pick];
-  op.queue.erase(op.queue.begin() + static_cast<std::ptrdiff_t>(pick));
+  op.queue.erase(pick);
   Chunk& chunk = chunks_[cid];
   const Hop hop = chunk.route[chunk.hop_idx];
-  assert(hop.router == rid && hop.port == port);
+  assert(topo_.channel_id(hop.router, hop.port) == channel);
   op.queued_bytes -= chunk.bytes;
   op.last_vc_served = hop.vc;
   if (!op.is_terminal()) op.credits[hop.vc] -= chunk.bytes;
@@ -262,8 +265,7 @@ void Network::try_send(RouterId rid, int port, SimTime now) {
   ++stats().chunks_forwarded;
   if (tracer_ && chunk.trace_serial != kNoTraceSerial)
     tracer_->on_transmit_start(chunk.trace_serial, now, t_end);
-  engine_.schedule(t_end, this,
-                   EventPayload{kPortFree, 0, static_cast<std::uint64_t>(topo_.channel_id(rid, port)), 0});
+  engine_.schedule(t_end, this, EventPayload{kPortFree, 0, static_cast<std::uint64_t>(channel), 0});
 
   // Return the input-buffer space this chunk occupied here to its upstream
   // sender, one upstream-link latency after the last byte departs.
@@ -330,7 +332,8 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       const auto rid = static_cast<RouterId>(payload.b);
       const Hop& hop = chunk.route[chunk.hop_idx];
       assert(hop.router == rid);
-      if (!link_up(rid, hop.port)) {
+      const int channel = topo_.channel_id(rid, hop.port);
+      if (!link_up(channel)) {
         // The next link of this chunk's source route died while it was in
         // flight. Drop it here; the owning NIC retransmits the bytes later.
         return_upstream_credit(chunk, now);
@@ -338,7 +341,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
         release_chunk(cid);
         break;
       }
-      OutPort& op = routers_[rid].port(hop.port);
+      OutPort& op = port(channel);
       if (tracer_ && chunk.trace_serial != kNoTraceSerial) {
         const MessageRecord& m = msgs_[chunk.msg];
         tracer_->on_hop_enqueue(chunk.trace_serial, chunk.msg, m.src, m.dst, chunk.bytes, rid,
@@ -346,27 +349,23 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       }
       op.queue.push_back(cid);
       op.queued_bytes += chunk.bytes;
-      try_send(rid, hop.port, now);
+      try_send(channel, now);
       break;
     }
     case kPortFree: {
       const auto channel = static_cast<int>(payload.b);
-      const RouterId rid = topo_.channel_router(channel);
-      const int port = topo_.channel_port(channel);
-      OutPort& op = routers_[rid].port(port);
+      OutPort& op = port(channel);
       // Only clear when the wire is actually free: a credit event at the same
       // timestamp (earlier sequence) may already have started a new
       // transmission on this port.
       if (op.busy_until <= now) op.tx_chunk = kNoChunk;
-      try_send(rid, port, now);
+      try_send(channel, now);
       break;
     }
     case kCreditToRouter: {
       const auto channel = static_cast<int>(payload.b);
-      const RouterId rid = topo_.channel_router(channel);
-      const int port = topo_.channel_port(channel);
-      routers_[rid].port(port).credits[payload.a] += static_cast<Bytes>(payload.c);
-      try_send(rid, port, now);
+      port(channel).credits[static_cast<int>(payload.a)] += static_cast<Bytes>(payload.c);
+      try_send(channel, now);
       break;
     }
     case kCreditToNic: {
@@ -515,11 +514,12 @@ void Network::apply_drop_to_message(MsgId id, Bytes bytes, SimTime now) {
   schedule_retransmit(id, now);
 }
 
-void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now) {
+void Network::on_link_state_changed(RouterId rid, int port_index, bool up, SimTime now) {
   assert(engine_.current_lane() == engine_.global_lane());
-  OutPort& op = routers_[rid].port(port);
+  const int channel = topo_.channel_id(rid, port_index);
+  OutPort& op = port(channel);
   if (up) {
-    try_send(rid, port, now);
+    try_send(channel, now);
     return;
   }
   assert(!op.is_terminal() && "terminal links cannot fail");
@@ -535,7 +535,8 @@ void Network::on_link_state_changed(RouterId rid, int port, bool up, SimTime now
   }
   // Purge everything queued for the dead port: free this router's input
   // buffer back to the upstream senders and queue the bytes for retransmit.
-  for (const ChunkId cid : op.queue) {
+  for (std::size_t i = 0; i < op.queue.size(); ++i) {
+    const ChunkId cid = op.queue[i];
     return_upstream_credit(chunks_[cid], now);
     account_drop(cid, now);
     release_chunk(cid);
@@ -626,14 +627,16 @@ void Network::save_state(ckpt::Writer& w) const {
   w.size(msgs_.free_slots().size());
   for (const MsgId id : msgs_.free_slots()) w.u32(id);
 
-  w.size(routers_.size());
-  for (const Router& router : routers_) {
-    w.i32(router.num_ports());
-    for (int p = 0; p < router.num_ports(); ++p) {
-      const OutPort& op = router.port(p);
+  // Router by router; the flat port array is already in that order.
+  const int routers = topo_.params().total_routers();
+  w.size(static_cast<std::size_t>(routers));
+  for (RouterId rid = 0; rid < routers; ++rid) {
+    w.i32(topo_.ports_per_router());
+    for (int p = 0; p < topo_.ports_per_router(); ++p) {
+      const OutPort& op = ports_[static_cast<std::size_t>(topo_.channel_id(rid, p))];
       w.i64(op.busy_until);
       w.size(op.queue.size());
-      for (const ChunkId id : op.queue) w.u32(id);
+      for (std::size_t i = 0; i < op.queue.size(); ++i) w.u32(op.queue[i]);
       w.i64(op.queued_bytes);
       w.size(op.credits.size());
       for (const Bytes c : op.credits) w.i64(c);
@@ -650,9 +653,9 @@ void Network::save_state(ckpt::Writer& w) const {
   for (const Nic& nic : nics_) {
     w.i64(nic.busy_until);
     w.size(nic.queue.size());
-    for (const PendingMsg& pm : nic.queue) {
-      w.u32(pm.msg);
-      w.i64(pm.bytes_left);
+    for (std::size_t i = 0; i < nic.queue.size(); ++i) {
+      w.u32(nic.queue[i].msg);
+      w.i64(nic.queue[i].bytes_left);
     }
     w.i64(nic.credits);
     w.i64(nic.traffic);
@@ -749,12 +752,13 @@ void Network::load_state(ckpt::Reader& r) {
   }
   msgs_.restore(std::move(msg_slots), std::move(msg_free_list));
 
+  const int routers = topo_.params().total_routers();
   const std::size_t nrouters = r.count(8);
-  if (nrouters != routers_.size()) bad_state("router count mismatch");
-  for (Router& router : routers_) {
-    if (r.i32() != router.num_ports()) bad_state("port count mismatch");
-    for (int p = 0; p < router.num_ports(); ++p) {
-      OutPort& op = router.port(p);
+  if (nrouters != static_cast<std::size_t>(routers)) bad_state("router count mismatch");
+  for (RouterId rid = 0; rid < routers; ++rid) {
+    if (r.i32() != topo_.ports_per_router()) bad_state("port count mismatch");
+    for (int p = 0; p < topo_.ports_per_router(); ++p) {
+      OutPort& op = port(topo_.channel_id(rid, p));
       op.busy_until = r.i64();
       const std::size_t qn = r.count(4);
       op.queue.clear();
@@ -829,21 +833,17 @@ void Network::load_state(ckpt::Reader& r) {
 
 std::vector<Bytes> Network::vc_occupancy() const {
   std::vector<Bytes> occupancy(kMaxRouteHops, 0);
-  for (const Router& router : routers_) {
-    for (int p = 0; p < router.num_ports(); ++p) {
-      for (const ChunkId cid : router.port(p).queue) {
-        const Chunk& chunk = chunks_[cid];
-        occupancy[chunk.route[chunk.hop_idx].vc] += chunk.bytes;
-      }
+  for (const OutPort& op : ports_) {
+    for (std::size_t i = 0; i < op.queue.size(); ++i) {
+      const Chunk& chunk = chunks_[op.queue[i]];
+      occupancy[chunk.route[chunk.hop_idx].vc] += chunk.bytes;
     }
   }
   return occupancy;
 }
 
 void Network::finalize(SimTime end) {
-  for (Router& router : routers_) {
-    for (int p = 0; p < router.num_ports(); ++p) router.port(p).end_blocked(end);
-  }
+  for (OutPort& op : ports_) op.end_blocked(end);
   for (Nic& nic : nics_) nic.end_blocked(end);
 }
 

@@ -103,7 +103,11 @@ class Network : public EventHandler, public CongestionView {
   void finalize(SimTime end);
 
   // --- metric access ---
-  const Router& router(RouterId r) const { return routers_[r]; }
+  /// Read-only view of router `r`'s ports (a slice of the flat port array).
+  Router router(RouterId r) const {
+    return Router(&ports_[static_cast<std::size_t>(topo_.channel_id(r, 0))],
+                  topo_.ports_per_router());
+  }
   const Nic& nic(NodeId n) const { return nics_[n]; }
   struct HopStats {
     std::uint64_t chunks = 0;
@@ -209,14 +213,16 @@ class Network : public EventHandler, public CongestionView {
                ? full_chunk_time_[static_cast<int>(kind)]
                : units::transfer_time(bytes, params_.bandwidth(kind));
   }
-  /// topo_.port_enabled, skipped while no link of the topology is down.
-  bool link_up(RouterId router, int port) const {
+  /// topo_.port_enabled of a channel, skipped while no link of the topology
+  /// is down.
+  bool link_up(int channel) const {
     return (topo_.disabled_global_links() == 0 && topo_.disabled_local_links() == 0) ||
-           topo_.port_enabled(router, port);
+           topo_.port_enabled(topo_.channel_router(channel), topo_.channel_port(channel));
   }
+  OutPort& port(int channel) { return ports_[static_cast<std::size_t>(channel)]; }
 
   void try_inject(NodeId node, SimTime now);
-  void try_send(RouterId router, int port, SimTime now);
+  void try_send(int channel, SimTime now);
   void release_if_done(MsgId id);
   /// Releases a chunk back to its arena; a shard releasing another lane's
   /// chunk defers the free to the barrier (drained in lane order).
@@ -249,7 +255,9 @@ class Network : public EventHandler, public CongestionView {
   /// deferred_frees_[l]: chunks lane l released that belong to another lane.
   std::vector<std::vector<ChunkId>> deferred_frees_;
 
-  std::vector<Router> routers_;
+  /// Every router's output ports, indexed by channel id
+  /// (router * ports_per_router + port).
+  std::vector<OutPort> ports_;
   std::vector<Nic> nics_;
   ChunkPool chunks_;
   MessagePool msgs_;

@@ -7,9 +7,8 @@
 // per chunk.
 #pragma once
 
-#include <deque>
-
 #include "net/chunk.hpp"
+#include "util/ring_fifo.hpp"
 #include "util/units.hpp"
 
 namespace dfly {
@@ -21,7 +20,7 @@ struct PendingMsg {
 
 struct Nic {
   SimTime busy_until = 0;
-  std::deque<PendingMsg> queue;
+  RingFifo<PendingMsg> queue;  ///< messages awaiting injection, in send order
   Bytes credits = 0;  ///< free space in the router's terminal input buffer
 
   // --- metrics ---

@@ -61,36 +61,30 @@ std::uint64_t Engine::lane_processed(int lane) const {
   return lanes_[static_cast<std::size_t>(lane)].processed;
 }
 
-void Engine::schedule(SimTime when, EventHandler* handler, EventPayload payload) {
-  assert(handler != nullptr);
+void Engine::schedule_global_to_shards(const QueuedEvent& ev) {
+  const int target = ev.handler->event_shard(ev.payload);
+  assert(target == EventHandler::kGlobalShard || (target >= 0 && target < global_lane()));
+  Lane& to = target == EventHandler::kGlobalShard ? lanes_.back()
+                                                  : lanes_[static_cast<std::size_t>(target)];
+  to.queue.push(ev);
+}
+
+void Engine::schedule_in_batch(const BatchCtx& ctx, SimTime when, EventHandler* handler,
+                               EventPayload payload) {
+  assert(when >= ctx.now && "cannot schedule into the past");
   const int global = global_lane();
-  BatchCtx* ctx = tls_batch_;
-  if (ctx == nullptr || ctx->engine != this) {
-    // Global context (setup, or a global event running alone with every shard
-    // parked): the event may go straight into any lane's queue. Only shard
-    // lanes give the handler a choice.
-    assert(when >= now_ && "cannot schedule into the past");
-    Lane& from = lanes_.back();
-    const QueuedEvent ev{when, pack_seq(global, from.counter++), handler, payload};
-    const int target = global == 0 ? EventHandler::kGlobalShard : handler->event_shard(payload);
-    assert(target == EventHandler::kGlobalShard || (target >= 0 && target < global));
-    Lane& to = target == EventHandler::kGlobalShard ? from : lanes_[static_cast<std::size_t>(target)];
-    to.queue.push(ev);
-    return;
-  }
-  assert(when >= ctx->now && "cannot schedule into the past");
   int target = handler->event_shard(payload);
   if (target == EventHandler::kGlobalShard) target = global;
   assert(target >= 0 && target <= global);
-  Lane& from = lanes_[static_cast<std::size_t>(ctx->lane)];
-  const QueuedEvent ev{when, pack_seq(ctx->lane, from.counter++), handler, payload};
-  if (target == ctx->lane) {
+  Lane& from = lanes_[static_cast<std::size_t>(ctx.lane)];
+  const QueuedEvent ev{when, pack_seq(ctx.lane, from.counter++), handler, payload};
+  if (target == ctx.lane) {
     from.queue.push(ev);  // same-lane: runs within this batch if when <= bound
   } else {
     // Cross-shard: staged in the scheduling lane's outbox, merged at the
     // barrier. The lookahead guarantees the event lands strictly after the
     // batch bound; this assert is the conservative-synchronization invariant.
-    assert(when > ctx->bound && "cross-shard send violates the lookahead bound");
+    assert(when > ctx.bound && "cross-shard send violates the lookahead bound");
     from.outbox.emplace_back(target, ev);
   }
 }
@@ -267,19 +261,19 @@ std::size_t Engine::pending() const {
   return total;
 }
 
-const SchedulerStats& Engine::scheduler_stats() const {
-  agg_stats_ = SchedulerStats{};
+SchedulerStats Engine::scheduler_stats() const {
+  SchedulerStats total;
   for (const Lane& lane : lanes_) {
-    const SchedulerStats& s = lane.queue.stats();
-    agg_stats_.buckets += s.buckets;
-    agg_stats_.calendar_events += s.calendar_events;
-    agg_stats_.overflow_events += s.overflow_events;
-    agg_stats_.peak_pending += s.peak_pending;
-    agg_stats_.resizes += s.resizes;
-    agg_stats_.overflow_promotions += s.overflow_promotions;
+    const SchedulerStats s = lane.queue.stats();
+    total.buckets += s.buckets;
+    total.calendar_events += s.calendar_events;
+    total.overflow_events += s.overflow_events;
+    total.peak_pending += s.peak_pending;
+    total.resizes += s.resizes;
+    total.overflow_promotions += s.overflow_promotions;
   }
-  agg_stats_.bucket_width = lanes_[0].queue.stats().bucket_width;
-  return agg_stats_;
+  total.bucket_width = lanes_[0].queue.stats().bucket_width;
+  return total;
 }
 
 void Engine::save_state(ckpt::Writer& w,

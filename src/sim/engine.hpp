@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -100,7 +101,26 @@ class Engine {
   /// is never asked); cross-shard sends from a shard must land strictly after
   /// the current batch bound (guaranteed by the lookahead = the global-link
   /// latency).
-  void schedule(SimTime when, EventHandler* handler, EventPayload payload);
+  /// Inline, with the calendar push inlined into it: the network schedules
+  /// about three events per chunk hop. Only shard lanes leave the fast path.
+  void schedule(SimTime when, EventHandler* handler, EventPayload payload) {
+    assert(handler != nullptr);
+    const BatchCtx* ctx = tls_batch_;
+    if (ctx == nullptr || ctx->engine != this) {
+      // Global context (setup, or a global event running alone with every
+      // shard parked): the event may go straight into any lane's queue.
+      assert(when >= now_ && "cannot schedule into the past");
+      Lane& from = lanes_.back();
+      const QueuedEvent ev{when, pack_seq(global_lane(), from.counter++), handler, payload};
+      if (lanes_.size() == 1) {
+        from.queue.push(ev);
+      } else {
+        schedule_global_to_shards(ev);
+      }
+      return;
+    }
+    schedule_in_batch(*ctx, when, handler, payload);
+  }
 
   /// Convenience: schedule relative to the dispatching event's time.
   void schedule_after(SimTime delay, EventHandler* handler, EventPayload payload) {
@@ -140,8 +160,8 @@ class Engine {
   bool stop_requested() const { return stop_requested_; }
 
   /// Occupancy and resize counters of the calendar scheduler (reported by
-  /// HealthMonitor and metrics/), summed across lanes.
-  const SchedulerStats& scheduler_stats() const;
+  /// HealthMonitor and metrics/), summed across lanes; a snapshot by value.
+  SchedulerStats scheduler_stats() const;
 
   /// Checkpoint support (src/ckpt/): serializes the clock, the processed
   /// count and, per lane, the sequence counter, processed count and complete
@@ -183,6 +203,12 @@ class Engine {
   /// constinit: other translation units read it without a TLS init wrapper.
   static constinit thread_local BatchCtx* tls_batch_;
 
+  /// schedule() from global context with shard lanes: the handler picks the
+  /// target lane.
+  void schedule_global_to_shards(const QueuedEvent& ev);
+  /// schedule() from a shard lane inside a batch.
+  void schedule_in_batch(const BatchCtx& ctx, SimTime when, EventHandler* handler,
+                         EventPayload payload);
   void run_batch(SimTime bound);
   void run_lane(int lane, SimTime bound);
   void work_lanes();
@@ -199,7 +225,6 @@ class Engine {
   std::uint64_t event_limit_ = 0;
   bool hit_limit_ = false;
   bool stop_requested_ = false;
-  mutable SchedulerStats agg_stats_;
   prof::Profiler* profiler_ = nullptr;
 
   std::vector<Lane> lanes_ = std::vector<Lane>(1);  ///< shards + 1 (last = global lane)

@@ -10,27 +10,19 @@
 namespace dfly {
 
 namespace {
-constexpr std::size_t kMinBuckets = 16;
 // Starting width (2^10 ns) before the first occupancy-driven retune; any
 // value works for correctness, the first resize replaces it with a measured
 // one.
 constexpr int kInitialWidthShift = 10;
 // Width retune samples at most this many pending events.
 constexpr std::size_t kWidthSample = 64;
-// Dispatch-gap window: width retunes prefer the spacing of the last this many
-// dispatched events once available.
-constexpr std::size_t kGapWindow = 64;
-// A sorted serving bucket larger than this triggers a width retune: per-push
-// ordered inserts into a huge vector are one calendar-queue failure mode.
-constexpr std::size_t kServeBucketLimit = 128;
 // Scanning more than this many empty buckets in one locate triggers the
 // opposite retune: buckets much narrower than the dispatch gap make every
 // pop crawl the array.
 constexpr std::size_t kScanLimit = 64;
-// Pathology-triggered retunes only fire this many pops after the last resize
-// (so the dispatch-gap ring has refreshed) and only when the width is off by
-// at least kRetuneBand powers of two (hysteresis against estimator noise).
-constexpr std::uint64_t kRetuneCooldown = 4 * kGapWindow;
+// Pathology-triggered retunes (after the cooldown, kRetuneCooldown) only fire
+// when the width is off by at least this many powers of two (hysteresis
+// against estimator noise).
 constexpr int kRetuneBand = 2;
 
 // Smallest power-of-two shift s with (1 << s) >= w.
@@ -41,54 +33,7 @@ int shift_for(SimTime w) {
 }  // namespace
 
 CalendarEventQueue::CalendarEventQueue()
-    : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1), width_shift_(kInitialWidthShift) {
-  pop_times_.resize(kGapWindow, 0);
-}
-
-void CalendarEventQueue::push(const QueuedEvent& ev) {
-  assert(ev.time >= 0 && "calendar queue requires non-negative times");
-  located_ = false;
-  const std::uint64_t b = bucket_of(ev.time);
-  if (size_ == 0) {
-    cur_b_ = b;  // re-anchor the window on the first event
-  } else if (b < cur_b_) {
-    rewind(b);
-  }
-  if (b >= cur_b_ + buckets_.size()) {
-    overflow_.push(ev);
-    overflow_min_b_ = std::min(overflow_min_b_, b);
-  } else {
-    insert_calendar(ev);
-  }
-  ++size_;
-  if (size_ > stats_.peak_pending) stats_.peak_pending = size_;
-  if (size_ > 2 * buckets_.size()) resize(2 * buckets_.size());
-}
-
-const QueuedEvent& CalendarEventQueue::min() {
-  if (!located_) locate_min();
-  return slot(cur_b_).events.back();
-}
-
-QueuedEvent CalendarEventQueue::pop_min() {
-  if (!located_) locate_min();
-  located_ = false;
-  Bucket& bk = slot(cur_b_);
-  QueuedEvent ev = bk.events.back();
-  bk.events.pop_back();
-  if (bk.events.empty()) bk.sorted = false;
-  --cal_size_;
-  --size_;
-  pop_times_[pop_times_next_] = ev.time;
-  if (++pop_times_next_ == kGapWindow) {
-    pop_times_next_ = 0;
-    pop_times_full_ = true;
-  }
-  ++pops_since_resize_;
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 4)
-    resize(buckets_.size() / 2);
-  return ev;
-}
+    : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1), width_shift_(kInitialWidthShift) {}
 
 void CalendarEventQueue::locate_min() {
   assert(size_ > 0);
@@ -142,20 +87,8 @@ void CalendarEventQueue::promote_overflow() {
   overflow_min_b_ = overflow_.empty() ? kNoBucket : bucket_of(overflow_.top().time);
 }
 
-void CalendarEventQueue::insert_calendar(const QueuedEvent& ev) {
-  Bucket& bk = slot(bucket_of(ev.time));
-  if (bk.sorted) {
-    // Descending order, min at the back: ties insert towards the front so an
-    // equal-time event with a larger seq pops after the ones already queued.
-    const auto it = std::upper_bound(bk.events.begin(), bk.events.end(), ev, std::greater<>{});
-    bk.events.insert(it, ev);
-  } else {
-    bk.events.push_back(ev);
-  }
-  ++cal_size_;
-}
-
 void CalendarEventQueue::rewind(std::uint64_t new_cur) {
+  located_ = false;
   cur_b_ = new_cur;
   const std::uint64_t window_end = cur_b_ + buckets_.size();
   for (Bucket& bk : buckets_) {
@@ -316,20 +249,23 @@ void CalendarEventQueue::load_state(
 void CalendarEventQueue::resize(std::size_t nbuckets) {
   ++stats_.resizes;
   pops_since_resize_ = 0;
+  located_ = false;
   // Only the calendar tier is rebucketed. The overflow heap is already in
   // (time, seq) order independent of the bucket width, so it is left alone —
   // rehashing tens of thousands of parked backoff timers on every retune was
   // the dominant resize cost. Its cached min bucket just needs recomputing
   // under the new width, and the lazy promotion in locate_min() does the rest.
-  std::vector<QueuedEvent> all;
-  all.reserve(cal_size_);
+  // The buckets keep their storage and gather_ its capacity, so a resize in a
+  // steady run allocates nothing.
+  std::vector<QueuedEvent>& all = gather_;
+  all.clear();
   for (Bucket& bk : buckets_) {
     all.insert(all.end(), bk.events.begin(), bk.events.end());
     bk.events.clear();
     bk.sorted = false;
   }
   width_shift_ = tuned_width_shift(all);
-  buckets_.assign(nbuckets, Bucket{});
+  buckets_.resize(nbuckets);
   bucket_mask_ = nbuckets - 1;
   cal_size_ = 0;
   // Anchor the window at the global minimum so no pending event — calendar or

@@ -1,19 +1,14 @@
-// Event queues for the discrete-event engine.
-//
-// Two priority-queue implementations with identical ordering semantics:
-//
-//  * HeapEventQueue — the classic binary heap (std::priority_queue). O(log n)
-//    push/pop. Kept as the reference implementation for differential tests
-//    and as the baseline side of the scheduler microbenchmarks.
-//  * CalendarEventQueue — a calendar queue (Brown 1988) with lazy per-bucket
-//    sorting and a heap-backed overflow tier for far-future events. O(1)
-//    amortised push/pop for the simulator's near-monotonic event stream;
-//    the Engine uses this one.
-//
-// Both dispatch in strict (time, seq) order, so swapping one for the other
-// cannot change any simulation result.
+// Event queue for the discrete-event engine: a calendar queue (Brown 1988)
+// with lazy per-bucket sorting and a heap-backed overflow tier for far-future
+// events. O(1) amortised push/pop for the simulator's near-monotonic event
+// stream. It dispatches in strict (time, seq) order, the order a binary heap
+// of the same events gives (the differential tests keep such a heap as the
+// oracle), so the choice of queue cannot change any simulation result.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -69,23 +64,6 @@ struct QueuedEvent {
   }
 };
 
-/// Binary-heap event queue; reference semantics for the calendar queue.
-class HeapEventQueue {
- public:
-  void push(const QueuedEvent& ev) { queue_.push(ev); }
-  const QueuedEvent& min() const { return queue_.top(); }
-  QueuedEvent pop_min() {
-    QueuedEvent ev = queue_.top();
-    queue_.pop();
-    return ev;
-  }
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
-
- private:
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, std::greater<>> queue_;
-};
-
 /// Occupancy / behaviour counters of the calendar queue, exposed through
 /// Engine::scheduler_stats() so HealthMonitor and metrics can report them.
 struct SchedulerStats {
@@ -109,17 +87,65 @@ struct SchedulerStats {
 /// retuned from the live event spacing whenever occupancy skews.
 ///
 /// All event times must be non-negative. pop_min()/min() return events in
-/// strict (time, seq) order — identical to HeapEventQueue.
+/// strict (time, seq) order, as a binary heap would.
 class CalendarEventQueue {
  public:
   CalendarEventQueue();
 
-  void push(const QueuedEvent& ev);
+  /// The common case (a push into the current window) runs inline; a push
+  /// before the window rewinds, and a push that overfills the array resizes,
+  /// both out of line.
+  void push(const QueuedEvent& ev) {
+    assert(ev.time >= 0 && "calendar queue requires non-negative times");
+    const std::uint64_t b = bucket_of(ev.time);
+    if (size_ == 0) {
+      cur_b_ = b;  // re-anchor the window on the first event
+    } else if (b < cur_b_) {
+      rewind(b);
+    }
+    if (b >= cur_b_ + buckets_.size()) {
+      overflow_.push(ev);
+      overflow_min_b_ = std::min(overflow_min_b_, b);
+    } else {
+      insert_calendar(ev);
+      if (b == cur_b_) forget_if_retune_due();
+    }
+    ++size_;
+    if (size_ > stats_.peak_pending) stats_.peak_pending = size_;
+    if (size_ > 2 * buckets_.size()) resize(2 * buckets_.size());
+  }
+
   /// Smallest pending event; lazily positions and sorts the serving bucket.
-  /// The located position is kept until the next push, pop or resize, so the
-  /// engine's min()-then-pop_min() dispatch locates once, not twice.
-  const QueuedEvent& min();
-  QueuedEvent pop_min();
+  /// The located position is kept while the serving bucket stays the same
+  /// (see located_), so a run of dispatches from one bucket locates once.
+  const QueuedEvent& min() {
+    if (!located_) locate_min();
+    return slot(cur_b_).events.back();
+  }
+
+  QueuedEvent pop_min() {
+    if (!located_) locate_min();
+    Bucket& bk = slot(cur_b_);
+    const QueuedEvent ev = bk.events.back();
+    bk.events.pop_back();
+    --cal_size_;
+    --size_;
+    pop_times_[pop_times_next_] = ev.time;
+    if (++pop_times_next_ == kGapWindow) {
+      pop_times_next_ = 0;
+      pop_times_full_ = true;
+    }
+    ++pops_since_resize_;
+    if (bk.events.empty()) {
+      bk.sorted = false;
+      located_ = false;
+    } else {
+      forget_if_retune_due();
+    }
+    if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 4)
+      resize(buckets_.size() / 2);
+    return ev;
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -136,12 +162,14 @@ class CalendarEventQueue {
   void load_state(ckpt::Reader& r,
                   const std::function<EventHandler*(std::uint32_t)>& handler_of);
 
-  const SchedulerStats& stats() const {
-    stats_.buckets = buckets_.size();
-    stats_.bucket_width = SimTime{1} << width_shift_;
-    stats_.calendar_events = cal_size_;
-    stats_.overflow_events = size_ - cal_size_;
-    return stats_;
+  /// A snapshot by value: two snapshots taken at different times differ.
+  SchedulerStats stats() const {
+    SchedulerStats s = stats_;
+    s.buckets = buckets_.size();
+    s.bucket_width = SimTime{1} << width_shift_;
+    s.calendar_events = cal_size_;
+    s.overflow_events = size_ - cal_size_;
+    return s;
   }
 
  private:
@@ -151,27 +179,60 @@ class CalendarEventQueue {
   };
 
   static constexpr std::uint64_t kNoBucket = UINT64_MAX;
+  static constexpr std::size_t kMinBuckets = 16;
+  /// Dispatch-gap window: width retunes prefer the spacing of the last this
+  /// many dispatched events once available.
+  static constexpr std::size_t kGapWindow = 64;
+  /// A sorted serving bucket larger than this triggers a width retune:
+  /// per-push ordered inserts into a huge vector are one calendar-queue
+  /// failure mode.
+  static constexpr std::size_t kServeBucketLimit = 128;
+  /// Pathology-triggered retunes only fire this many pops after the last
+  /// resize, so the dispatch-gap ring has refreshed.
+  static constexpr std::uint64_t kRetuneCooldown = 4 * kGapWindow;
 
   // Bucket width and array size are powers of two so the hot path shifts and
   // masks instead of dividing.
   std::uint64_t bucket_of(SimTime t) const { return static_cast<std::uint64_t>(t) >> width_shift_; }
   Bucket& slot(std::uint64_t b) { return buckets_[b & bucket_mask_]; }
 
+  /// A located serving bucket past the retune cooldown and over the serving
+  /// limit is exactly where locate_min() would run its retune check, whose
+  /// answer moves with the dispatch-gap ring; the position is dropped so that
+  /// check runs.
+  void forget_if_retune_due() {
+    if (pops_since_resize_ >= kRetuneCooldown &&
+        slot(cur_b_).events.size() > kServeBucketLimit)
+      located_ = false;
+  }
+
   /// Advances cur_b_ to the bucket holding the global minimum and sorts it.
-  /// A second call with no push, pop or resize in between would change
-  /// nothing, which is what makes remembering the result (located_) exact.
+  /// Called again with no change to that bucket, no promotion due and no
+  /// retune possible, it would change nothing, which is what makes
+  /// remembering the result (located_) exact.
   void locate_min();
   /// Moves every overflow event whose bucket is inside the current window
   /// into the calendar array.
   void promote_overflow();
   /// Inserts into the calendar tier (ordered insert if the slot is sorted).
-  void insert_calendar(const QueuedEvent& ev);
+  void insert_calendar(const QueuedEvent& ev) {
+    Bucket& bk = slot(bucket_of(ev.time));
+    if (bk.sorted) {
+      // Descending order, min at the back: ties insert towards the front so
+      // an equal-time event with a larger seq pops after the ones queued.
+      const auto it = std::upper_bound(bk.events.begin(), bk.events.end(), ev, std::greater<>{});
+      bk.events.insert(it, ev);
+    } else {
+      bk.events.push_back(ev);
+    }
+    ++cal_size_;
+  }
   /// Moves the serving position back to `new_cur` (a push landed before the
   /// current window); events that fall out of the shrunk window spill to the
   /// overflow tier.
   void rewind(std::uint64_t new_cur);
   /// Rebuilds the calendar with `nbuckets` buckets and a width retuned from
-  /// the observed event spacing.
+  /// the observed event spacing, reusing the bucket storage.
   void resize(std::size_t nbuckets);
   /// Preferred bucket-width shift: from the spacing of recently *dispatched*
   /// events once enough have been seen (that is the density the serving
@@ -182,20 +243,23 @@ class CalendarEventQueue {
   std::uint64_t bucket_mask_;  ///< buckets_.size() - 1 (size is a power of two)
   int width_shift_;            ///< log2 of the bucket width in ns
   std::uint64_t cur_b_ = 0;    ///< absolute index of the serving bucket
-  /// cur_b_ holds the minimum, sorted (see min()). push() and pop_min()
-  /// clear it; they are also the only callers of rewind() and resize()
-  /// besides locate_min() itself, which sets it last.
+  /// cur_b_ holds the minimum, sorted, and locate_min() would leave every
+  /// field as it is. Set by locate_min(); kept by pops that leave the serving
+  /// bucket non-empty and by pushes that do not rewind; cleared by rewind(),
+  /// resize(), a pop that empties the serving bucket, and
+  /// forget_if_retune_due().
   bool located_ = false;
   std::size_t size_ = 0;       ///< calendar + overflow
   std::size_t cal_size_ = 0;   ///< events in the bucket array
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, std::greater<>> overflow_;
   std::uint64_t overflow_min_b_ = kNoBucket;  ///< bucket of overflow_.top()
   /// Ring of recent dispatch times, the width tuner's input.
-  std::vector<SimTime> pop_times_;
+  std::array<SimTime, kGapWindow> pop_times_{};
   std::size_t pop_times_next_ = 0;
   bool pop_times_full_ = false;
   std::uint64_t pops_since_resize_ = 0;  ///< retune cooldown
-  mutable SchedulerStats stats_;
+  SchedulerStats stats_;  ///< counters only; stats() fills in the occupancy
+  std::vector<QueuedEvent> gather_;  ///< resize()'s scratch, kept for its capacity
 };
 
 }  // namespace dfly

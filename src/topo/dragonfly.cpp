@@ -27,14 +27,6 @@ DragonflyTopology::DragonflyTopology(const TopoParams& params)
   local_version_.assign(static_cast<std::size_t>(params_.groups), 0);
 }
 
-PortKind DragonflyTopology::port_kind(int port) const {
-  assert(port >= 0 && port < ports_per_router_);
-  if (port < first_row_port()) return PortKind::Terminal;
-  if (port < first_col_port()) return PortKind::LocalRow;
-  if (port < first_global_port()) return PortKind::LocalCol;
-  return PortKind::Global;
-}
-
 RouterId DragonflyTopology::neighbor(RouterId router, int port) const {
   const PortKind kind = port_kind(port);
   const RouterCoord c = coords_.coord(router);

@@ -14,6 +14,7 @@
 // a — symmetric by construction and validated at build time.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,7 +48,13 @@ class DragonflyTopology {
   int first_col_port() const { return first_row_port() + params_.cols - 1; }
   int first_global_port() const { return first_col_port() + params_.rows - 1; }
 
-  PortKind port_kind(int port) const;
+  PortKind port_kind(int port) const {
+    assert(port >= 0 && port < ports_per_router_);
+    if (port < first_row_port()) return PortKind::Terminal;
+    if (port < first_col_port()) return PortKind::LocalRow;
+    if (port < first_global_port()) return PortKind::LocalCol;
+    return PortKind::Global;
+  }
 
   /// Peer router of (router, port); asserts the port is not a terminal port.
   RouterId neighbor(RouterId router, int port) const;

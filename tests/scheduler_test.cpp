@@ -6,11 +6,13 @@
 // ties, in-handler scheduling, and far-future backoff times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "support/heap_event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -85,13 +87,15 @@ TEST(CalendarQueue, DifferentialWideHorizon) {
     differential_stream(seed, 3000, 50 * units::kMillisecond, 0.1);
 }
 
-// Interleaves min() with push() and pop_min(). The calendar keeps the minimum
-// min() located until the next push, pop or resize; this stream checks that
-// each of them makes it forget. Every step first calls min(), then mutates:
-// a push at `now` lands before the located bucket whenever the minimum is
-// later (rewind), far-future pushes park in the overflow tier and are
-// promoted as the window slides, and bursts grow the bucket array (resize)
-// between a min() and the next pop_min().
+// Interleaves min() with push() and pop_min(). The calendar keeps the located
+// serving bucket across pops and pushes until a rewind, a resize, an emptied
+// bucket or a due retune; this stream checks each of them. Every step first
+// calls min(), then mutates: a push at `now` lands before the located bucket
+// whenever the minimum is later (rewind), far-future pushes park in the
+// overflow tier and are promoted as the window slides, bursts grow the bucket
+// array (resize) between a min() and the next pop_min(), and probes push
+// into the located bucket, below its minimum or into a later bucket between
+// two min() calls and a pop_min().
 void differential_min_interleaved(std::uint64_t seed, int ops) {
   Rng rng(seed);
   NullHandler handler;
@@ -118,7 +122,31 @@ void differential_min_interleaved(std::uint64_t seed, int ops) {
       push(now);
     } else if (roll < 0.45) {
       push(now + (SimTime{20} * units::kMicrosecond << static_cast<int>(rng.uniform(12))));
-    } else if (roll < 0.47 && 2 * buckets + 1 - calendar.size() <= 512) {
+    } else if (roll < 0.55) {
+      // min() -> push -> min() -> pop_min() around the located bucket.
+      const SimTime width = calendar.stats().bucket_width;
+      const SimTime min_t = calendar.min().time;
+      const SimTime bucket_start = min_t / width * width;
+      SimTime when;
+      const std::uint64_t where = rng.uniform(3);
+      if (where == 0) {  // into the serving bucket
+        const SimTime lo = std::max(now, bucket_start);
+        when = lo + static_cast<SimTime>(rng.uniform(static_cast<std::uint64_t>(bucket_start + width - lo)));
+      } else if (where == 1) {  // below its minimum (same bucket or a rewind)
+        when = now + static_cast<SimTime>(rng.uniform(static_cast<std::uint64_t>(min_t - now + 1)));
+      } else {  // into a later bucket
+        when = bucket_start + width +
+               static_cast<SimTime>(rng.uniform(static_cast<std::uint64_t>(4 * width)));
+      }
+      push(when);
+      ASSERT_EQ(calendar.min().time, heap.min().time) << "op " << i << " seed " << seed;
+      ASSERT_EQ(calendar.min().seq, heap.min().seq) << "op " << i << " seed " << seed;
+      const QueuedEvent a = heap.pop_min();
+      const QueuedEvent b = calendar.pop_min();
+      ASSERT_EQ(a.time, b.time) << "op " << i << " seed " << seed;
+      ASSERT_EQ(a.seq, b.seq) << "op " << i << " seed " << seed;
+      now = a.time;
+    } else if (roll < 0.57 && 2 * buckets + 1 - calendar.size() <= 512) {
       // Just enough pushes to cross the grow threshold (size > 2 * buckets).
       const std::uint64_t resizes = calendar.stats().resizes;
       for (std::size_t n = 2 * buckets + 1 - calendar.size(); n > 0; --n)
@@ -146,6 +174,156 @@ void differential_min_interleaved(std::uint64_t seed, int ops) {
 
 TEST(CalendarQueue, DifferentialMinInterleaved) {
   for (std::uint64_t seed = 31; seed <= 38; ++seed) differential_min_interleaved(seed, 4000);
+}
+
+// Fixed op streams through CalendarEventQueue. Each stream's pop order and its
+// SchedulerStats at every 256th op and at the end are folded into two FNV-1a
+// hashes. The pinned values were recorded with the queue that located the
+// minimum once per dispatch, before it kept the position per serving bucket;
+// any change to dispatch order, resizes or promotions changes them. The
+// engine's access pattern is kept: min() before every pop_min().
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenHashes {
+  std::uint64_t pops = 0xcbf29ce484222325ULL;
+  std::uint64_t stats = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t fold_stats(std::uint64_t h, const SchedulerStats& s) {
+  h = fnv(h, s.buckets);
+  h = fnv(h, static_cast<std::uint64_t>(s.bucket_width));
+  h = fnv(h, s.calendar_events);
+  h = fnv(h, s.overflow_events);
+  h = fnv(h, s.peak_pending);
+  h = fnv(h, s.resizes);
+  return fnv(h, s.overflow_promotions);
+}
+
+enum class GoldenStream { ShortHorizon, SameBucketBurst, FarFutureTimers, RewindingPushes };
+
+GoldenHashes run_golden_stream(GoldenStream kind) {
+  Rng rng(0x5eed + static_cast<std::uint64_t>(kind));
+  NullHandler handler;
+  CalendarEventQueue q;
+  GoldenHashes h;
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  auto push = [&](SimTime when) { q.push(QueuedEvent{when, seq++, &handler, EventPayload{}}); };
+  auto pop = [&] {
+    const SimTime t = q.min().time;
+    const QueuedEvent ev = q.pop_min();
+    EXPECT_EQ(ev.time, t);
+    h.pops = fnv(fnv(h.pops, static_cast<std::uint64_t>(ev.time)), ev.seq);
+    now = ev.time;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const double roll = rng.uniform_double();
+    switch (kind) {
+      case GoldenStream::ShortHorizon:
+        if (q.empty() || roll < 0.5) push(now + static_cast<SimTime>(rng.uniform(1500)));
+        else pop();
+        break;
+      case GoldenStream::SameBucketBurst:
+        // A steady stream long enough to pass the retune cooldown, then every
+        // 2000 ops a burst of 300 events at one instant (one bucket, well over
+        // the 128-event serving limit), drained while the stream goes on.
+        if (op % 2000 == 1999) {
+          const SimTime at = now + 700;
+          for (int i = 0; i < 300; ++i) push(at);
+        } else if (q.empty() || roll < 0.5) {
+          push(now + static_cast<SimTime>(rng.uniform(1500)));
+        } else {
+          pop();
+        }
+        break;
+      case GoldenStream::FarFutureTimers:
+        if (q.empty() || roll < 0.35) {
+          push(now + static_cast<SimTime>(rng.uniform(1500)));
+        } else if (roll < 0.5) {
+          push(now + (SimTime{20} * units::kMicrosecond << static_cast<int>(rng.uniform(14))));
+        } else {
+          pop();
+        }
+        break;
+      case GoldenStream::RewindingPushes:
+        // Pushes at `now` while the minimum sits buckets ahead move the
+        // serving position back (rewind).
+        if (q.empty() || roll < 0.35) {
+          push(now + 2000 + static_cast<SimTime>(rng.uniform(20000)));
+        } else if (roll < 0.5) {
+          push(now + static_cast<SimTime>(rng.uniform(4)));
+        } else {
+          pop();
+        }
+        break;
+    }
+    if (op % 256 == 0) h.stats = fold_stats(h.stats, q.stats());
+  }
+  while (!q.empty()) pop();
+  h.stats = fold_stats(h.stats, q.stats());
+  return h;
+}
+
+TEST(CalendarGolden, ShortHorizon) {
+  const GoldenHashes h = run_golden_stream(GoldenStream::ShortHorizon);
+  EXPECT_EQ(h.pops, 0xc0d14a78e06a7315ULL);
+  EXPECT_EQ(h.stats, 0x401a33d9a0065254ULL);
+}
+
+TEST(CalendarGolden, SameBucketBurstPastRetuneCooldown) {
+  const GoldenHashes h = run_golden_stream(GoldenStream::SameBucketBurst);
+  EXPECT_EQ(h.pops, 0x775cf3e3a6e632c1ULL);
+  EXPECT_EQ(h.stats, 0x61fe55ce32f8ade4ULL);
+}
+
+TEST(CalendarGolden, FarFutureTimers) {
+  const GoldenHashes h = run_golden_stream(GoldenStream::FarFutureTimers);
+  EXPECT_EQ(h.pops, 0x5e8e6b45eac0d1ebULL);
+  EXPECT_EQ(h.stats, 0x4bd2ab97081de846ULL);
+}
+
+TEST(CalendarGolden, RewindingPushes) {
+  const GoldenHashes h = run_golden_stream(GoldenStream::RewindingPushes);
+  EXPECT_EQ(h.pops, 0x1e33ab85141c3454ULL);
+  EXPECT_EQ(h.stats, 0x5d73dad6c42a514eULL);
+}
+
+// Pushes that bloat the located serving bucket past the retune cooldown must
+// not let the next min() skip the retune check: the queue that located once
+// per dispatch ran it right there, and the dispatch-gap ring decides it.
+TEST(CalendarQueue, RetuneCheckRunsRightAfterPushesBloatTheServingBucket) {
+  NullHandler handler;
+  CalendarEventQueue q;
+  std::uint64_t seq = 0;
+  auto push = [&](SimTime when) { q.push(QueuedEvent{when, seq++, &handler, EventPayload{}}); };
+  // 600 events 1000 ns apart grow the array to 512 buckets, and the width is
+  // tuned to that spacing.
+  for (int i = 0; i < 600; ++i) push(SimTime{1000} * i);
+  // 300 pops at that spacing pass the cooldown without a resize (300 pending
+  // stays above a quarter of the array) and without a bloated bucket.
+  SimTime now = 0;
+  for (int i = 0; i < 300; ++i) now = q.pop_min().time;
+  // 64 events at `now`, dispatched at once: the ring now reads a zero gap,
+  // but the serving bucket never held more than 128 events.
+  for (int i = 0; i < 64; ++i) push(now);
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(q.pop_min().time, now);
+  const std::uint64_t resizes = q.stats().resizes;
+  const std::size_t buckets = q.stats().buckets;
+  ASSERT_EQ(buckets, 512u);
+  // 130 more events into the serving bucket: no grow (size stays below twice
+  // the array), but the bucket is now over the limit.
+  const SimTime serving = q.min().time;
+  for (int i = 0; i < 130; ++i) push(serving);
+  ASSERT_EQ(q.stats().resizes, resizes);
+  EXPECT_EQ(q.min().time, serving);
+  EXPECT_EQ(q.stats().resizes, resizes + 1) << "the due retune was skipped";
+  EXPECT_LT(q.stats().bucket_width, SimTime{1000});
 }
 
 TEST(CalendarQueue, AllSameTimePopsInSeqOrder) {
@@ -317,11 +495,16 @@ TEST(Engine, SchedulerStatsExposed) {
   for (int i = 0; i < 5000; ++i)
     engine.schedule(static_cast<SimTime>(i * 7), &handler, EventPayload{});
   engine.schedule(units::kSecond, &handler, EventPayload{});
+  // Held by reference on purpose: scheduler_stats() returns a snapshot by
+  // value, so `before` must keep describing the pre-run() queue.
   const SchedulerStats& before = engine.scheduler_stats();
-  EXPECT_EQ(before.calendar_events + before.overflow_events, engine.pending());
+  const std::size_t pending_before = engine.pending();
+  EXPECT_EQ(before.calendar_events + before.overflow_events, pending_before);
   EXPECT_GT(before.resizes, 0u);
   engine.run();
   const SchedulerStats& after = engine.scheduler_stats();
+  EXPECT_EQ(before.calendar_events + before.overflow_events, pending_before)
+      << "the pre-run() snapshot changed with a later one";
   EXPECT_EQ(after.calendar_events, 0u);
   EXPECT_EQ(after.overflow_events, 0u);
   EXPECT_GE(after.peak_pending, 5001u);
