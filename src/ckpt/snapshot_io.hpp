@@ -33,7 +33,10 @@ static_assert(std::endian::native == std::endian::little,
 // v3: one engine layout at every thread count (per-lane queues, no mode byte;
 // the lane count tells threads=0 from sharded snapshots), one RNG stream per
 // network lane, and two pending-notification flags per message record.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: the telemetry section keeps each trace hop once, in the tracer's
+// per-lane lists; the trace writer's hop list and the per-lane sampled/hop
+// counters (copies of the serial counter and the list size) are gone.
+inline constexpr std::uint32_t kFormatVersion = 4;
 /// Value of the byte-order sentinel field as written; a byte-swapped file
 /// reads back 0x04030201 and is rejected with a clear message.
 inline constexpr std::uint32_t kByteOrderSentinel = 0x01020304u;

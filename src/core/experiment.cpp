@@ -62,15 +62,10 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
   // at any thread count — and writes exactly the threads=0 artifacts.
   const int threads = routing->uses_remote_congestion() ? 0 : options.threads;
 
-  // The profiler is constructed before the engine (and so destroyed after
-  // it): engine worker threads and the network hold raw pointers into it for
-  // the whole run. Lane count mirrors the engine's.
+  // The profiler is declared before the engine (and so destroyed after it):
+  // engine worker threads and the network hold raw pointers into it for the
+  // whole run. It is built once the engine has its lanes, one per lane.
   std::optional<prof::Profiler> profiler;
-  if (options.prof.enabled) {
-    const int prof_lanes = threads > 0 ? options.topo.groups + 1 : 1;
-    profiler.emplace(options.prof, prof_lanes, threads);
-  }
-  prof::Profiler* const prof_ptr = profiler ? &*profiler : nullptr;
 
   Engine engine;
   if (options.max_events) engine.set_event_limit(options.max_events);
@@ -84,6 +79,8 @@ ExperimentResult run_experiment(const Workload& workload, const ExperimentConfig
     sharding.threads = threads;
     engine.enable_sharding(sharding);
   }
+  if (options.prof.enabled) profiler.emplace(options.prof, engine.lanes(), threads);
+  prof::Profiler* const prof_ptr = profiler ? &*profiler : nullptr;
   engine.set_profiler(prof_ptr);
   Network network(engine, topo, options.net, *routing, master.fork(1));
   if (threads > 0) network.enable_sharding(options.net.global_latency);

@@ -176,7 +176,7 @@ void Network::try_inject(NodeId node, SimTime now) {
   HopStats& hs = hop_stats_[node];
   ++hs.chunks;
   hs.routers_sum += static_cast<std::uint64_t>(chunk.route.routers_traversed());
-  if (tracer_) chunk.trace_serial = tracer_->on_chunk_injected(head.msg, m.src, m.dst, size, now);
+  if (tracer_) chunk.trace_serial = tracer_->on_chunk_injected();
 
   const SimTime t_end = now + transfer_time(size, PortKind::Terminal);
   nic.busy_until = t_end;
@@ -268,20 +268,8 @@ void Network::try_send(int channel, SimTime now) {
   engine_.schedule(t_end, this, EventPayload{kPortFree, 0, static_cast<std::uint64_t>(channel), 0});
 
   // Return the input-buffer space this chunk occupied here to its upstream
-  // sender, one upstream-link latency after the last byte departs.
-  if (chunk.hop_idx == 0) {
-    const NodeId src = msgs_[chunk.msg].src;
-    engine_.schedule(t_end + params_.terminal_latency, this,
-                     EventPayload{kCreditToNic, 0, static_cast<std::uint64_t>(src),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
-  } else {
-    const Hop& up = chunk.route[chunk.hop_idx - 1];
-    const PortKind up_kind = topo_.port_kind(up.port);
-    engine_.schedule(t_end + params_.latency(up_kind), this,
-                     EventPayload{kCreditToRouter, static_cast<std::uint32_t>(up.vc),
-                                  static_cast<std::uint64_t>(topo_.channel_id(up.router, up.port)),
-                                  static_cast<std::uint64_t>(chunk.bytes)});
-  }
+  // sender once the last byte departs.
+  return_upstream_credit(chunk, t_end);
 
   if (op.is_terminal()) {
     engine_.schedule(t_end + params_.terminal_latency, this, EventPayload{kDeliver, cid, 0, 0});
@@ -391,7 +379,7 @@ void Network::handle_event(SimTime now, const EventPayload& payload) {
       ls.bytes_delivered += chunk.bytes;
       ls.in_fabric_delta -= chunk.bytes;
       if (tracer_ && chunk.trace_serial != kNoTraceSerial)
-        tracer_->on_delivered(chunk.trace_serial, now);
+        tracer_->on_chunk_left(chunk.trace_serial);
       const bool done = m.delivered == m.total;
       release_chunk(cid);
       if (done) {
@@ -493,7 +481,7 @@ void Network::account_drop(ChunkId cid, SimTime now) {
   ls.bytes_dropped += bytes;
   ls.in_fabric_delta -= bytes;
   ++ls.chunks_dropped;
-  if (tracer_ && chunk.trace_serial != kNoTraceSerial) tracer_->on_dropped(chunk.trace_serial, now);
+  if (tracer_ && chunk.trace_serial != kNoTraceSerial) tracer_->on_chunk_left(chunk.trace_serial);
   if (engine_.current_lane() != engine_.global_lane()) {
     // A shard (possibly an intermediate group) may not touch the message
     // record; the message-side accounting travels to the source lane one

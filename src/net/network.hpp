@@ -228,8 +228,9 @@ class Network : public EventHandler, public CongestionView {
   /// chunk defers the free to the barrier (drained in lane order).
   void release_chunk(ChunkId cid);
   void drain_deferred_frees();
-  /// Returns the input-buffer space a dropped chunk occupies at its current
-  /// router to the upstream sender (same delay formula as a normal departure).
+  /// Returns the input-buffer space a chunk occupies at its current router to
+  /// the upstream sender, one upstream-link latency after `now` — when the
+  /// chunk's last byte departs, or when it is dropped.
   void return_upstream_credit(const Chunk& chunk, SimTime now);
   /// Books a dropped chunk's bytes out of the fabric (lane-local part) and
   /// routes the message-side part to the source lane.

@@ -97,12 +97,12 @@ RunTelemetry::RunTelemetry(Engine& engine, Network& network, RoutingAlgorithm& r
     : network_(network),
       routing_(routing),
       options_(options),
-      tracer_(trace_, options.sample_rate, network.sharded() ? &engine : nullptr),
+      tracer_(options.sample_rate, engine),
       probe_(engine, registry_, options.snapshot_interval) {
   options_.validate();
-  // Sharded runs record routing decisions from worker threads; the stats
-  // vector must be at full size up front so record() never resizes it.
-  if (network.sharded()) routing_stats_.presize(network.topology().params().total_routers());
+  // Shard lanes record routing decisions from worker threads; the stats
+  // vector is at full size up front so record() never resizes it.
+  routing_stats_.presize(network.topology().params().total_routers());
   network_.set_tracer(&tracer_);
   routing_.set_telemetry(&routing_stats_);
   register_engine_counters(registry_, engine);
@@ -117,7 +117,6 @@ RunTelemetry::~RunTelemetry() {
 
 void RunTelemetry::save_state(ckpt::Writer& w) const {
   tracer_.save_state(w);
-  trace_.save_state(w);
   probe_.save_state(w);
   const std::vector<RouteDecisionStats>& per_source = routing_stats_.per_source();
   w.size(per_source.size());
@@ -132,7 +131,6 @@ void RunTelemetry::save_state(ckpt::Writer& w) const {
 
 void RunTelemetry::load_state(ckpt::Reader& r) {
   tracer_.load_state(r);
-  trace_.load_state(r);
   probe_.load_state(r);
   const std::size_t nsources = r.count(40);
   std::vector<RouteDecisionStats> per_source;
@@ -275,7 +273,8 @@ std::string export_run_artifacts(const RunTelemetry& telemetry, const Experiment
   bool ok = write_metrics_json((dir / "metrics.json").string(), telemetry, result);
   ok = write_counters_jsonl((dir / "counters.jsonl").string(), telemetry.snapshots()) && ok;
   ok = write_heatmap_csv((dir / "heatmap.csv").string(), network, end) && ok;
-  if (options.chrome_trace) ok = telemetry.trace().write((dir / "trace.json").string()) && ok;
+  if (options.chrome_trace)
+    ok = write_chrome_trace((dir / "trace.json").string(), telemetry.tracer().hops()) && ok;
   if (!ok) {
     log_warn("telemetry: failed to write one or more artifacts under " + dir.string());
     return "";

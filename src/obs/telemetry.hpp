@@ -66,15 +66,11 @@ class RunTelemetry {
   /// Stops the probe from rescheduling (call from a completion callback so
   /// pending probes never keep a finished simulation alive).
   void request_stop() { probe_.request_stop(); }
-  /// Takes the final end-of-run counter snapshot and flushes the tracer's
-  /// per-lane hop buffers into the trace writer (sharded runs buffer).
-  void finish(SimTime end) {
-    tracer_.flush();
-    probe_.sample_now(end);
-  }
+  /// Takes the final end-of-run counter snapshot.
+  void finish(SimTime end) { probe_.sample_now(end); }
 
-  /// Checkpoint support (src/ckpt/): tracer state, buffered chrome-trace
-  /// hops, routing-decision stats and the probe's snapshot history. The
+  /// Checkpoint support (src/ckpt/): tracer state (with its recorded hops),
+  /// routing-decision stats and the probe's snapshot history. The
   /// registry itself is not serialized — every counter here is a polled
   /// source whose value lives in (and is restored with) its subsystem.
   void save_state(ckpt::Writer& w) const;
@@ -87,7 +83,6 @@ class RunTelemetry {
   const ChunkPathTracer& tracer() const { return tracer_; }
   RoutingTelemetry& routing_stats() { return routing_stats_; }
   const RoutingTelemetry& routing_stats() const { return routing_stats_; }
-  const ChromeTraceWriter& trace() const { return trace_; }
   const std::vector<CounterSnapshot>& snapshots() const { return probe_.snapshots(); }
 
  private:
@@ -95,7 +90,6 @@ class RunTelemetry {
   RoutingAlgorithm& routing_;
   TelemetryOptions options_;
   CounterRegistry registry_;
-  ChromeTraceWriter trace_;
   ChunkPathTracer tracer_;
   RoutingTelemetry routing_stats_;
   CounterProbe probe_;

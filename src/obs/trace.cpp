@@ -5,7 +5,6 @@
 #include <map>
 #include <ostream>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 
 #include "ckpt/snapshot_io.hpp"
@@ -15,35 +14,27 @@ namespace dfly {
 
 namespace {
 
-// Serial layout in sharded mode; mirrors the engine's event-sequence packing.
+// Serial layout; mirrors the engine's event-sequence packing.
 constexpr int kSerialLaneShift = 48;
 
 }  // namespace
 
-ChunkPathTracer::ChunkPathTracer(TraceSink& sink, double sample_rate, const Engine* engine)
-    : sink_(sink), rate_(sample_rate), engine_(engine) {
+ChunkPathTracer::ChunkPathTracer(double sample_rate, const Engine& engine)
+    : rate_(sample_rate),
+      engine_(engine),
+      lanes_(static_cast<std::size_t>(engine.lanes())) {
   if (!(sample_rate >= 0.0 && sample_rate <= 1.0))
     throw std::invalid_argument("chunk tracer: sample_rate must be in [0, 1]");
-  if (engine_ && !engine_->sharded())
-    throw std::invalid_argument("chunk tracer: engine given but not sharded");
-  lanes_ = std::vector<Lane>(engine_ ? static_cast<std::size_t>(engine_->lanes()) : 1);
 }
 
-std::uint64_t ChunkPathTracer::on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes,
-                                                 SimTime now) {
+std::uint64_t ChunkPathTracer::on_chunk_injected() {
   Lane& l = lane();
   ++l.seen;
   l.acc += rate_;
   if (l.acc < 1.0) return kNoTraceSerial;
   l.acc -= 1.0;
-  ++l.sampled;
   ++l.live_delta;
-  std::uint64_t serial = l.next++;
-  if (engine_)
-    serial |= static_cast<std::uint64_t>(lane_index()) << kSerialLaneShift;
-  else
-    sink_.on_chunk_sampled(serial, msg, src, dst, bytes, now);
-  return serial;
+  return l.next++ | static_cast<std::uint64_t>(engine_.current_lane()) << kSerialLaneShift;
 }
 
 void ChunkPathTracer::on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src, NodeId dst,
@@ -68,45 +59,32 @@ void ChunkPathTracer::on_transmit_start(std::uint64_t serial, SimTime start, Sim
   Lane& l = lane();
   const auto it = l.pending.find(serial);
   if (it == l.pending.end()) return;
-  HopEvent hop = it->second;
+  HopEvent& hop = l.hops.emplace_back(it->second);
   l.pending.erase(it);
   hop.start_time = start;
   hop.end_time = end;
-  ++l.hops;
-  if (engine_)
-    l.buffered.push_back(hop);
-  else
-    sink_.on_hop(hop);
 }
 
-void ChunkPathTracer::close(std::uint64_t serial, SimTime now, bool delivered) {
+void ChunkPathTracer::on_chunk_left(std::uint64_t serial) {
   Lane& l = lane();
   // Discard a half-recorded hop (enqueued, never transmitted): the chunk died
   // in a queue. Drops from global context (fault purges) may close a chunk
   // whose pending hop lives on another lane — safe to reach into, every
   // shard is parked then.
-  if (l.pending.erase(serial) == 0 && engine_ && lane_index() == engine_->global_lane()) {
+  if (l.pending.erase(serial) == 0 && engine_.current_lane() == engine_.global_lane()) {
     for (Lane& other : lanes_) other.pending.erase(serial);
   }
   --l.live_delta;
-  if (!engine_) sink_.on_chunk_closed(serial, now, delivered);
 }
 
-void ChunkPathTracer::on_delivered(std::uint64_t serial, SimTime now) { close(serial, now, true); }
-
-void ChunkPathTracer::on_dropped(std::uint64_t serial, SimTime now) { close(serial, now, false); }
-
-void ChunkPathTracer::flush() {
+std::vector<HopEvent> ChunkPathTracer::hops() const {
   std::vector<HopEvent> all;
-  for (Lane& l : lanes_) {
-    all.insert(all.end(), l.buffered.begin(), l.buffered.end());
-    l.buffered.clear();
-  }
-  std::sort(all.begin(), all.end(), [](const HopEvent& a, const HopEvent& b) {
-    return std::tie(a.enqueue_time, a.start_time, a.chunk, a.router, a.port) <
-           std::tie(b.enqueue_time, b.start_time, b.chunk, b.router, b.port);
+  all.reserve(hops_recorded());
+  for (const Lane& l : lanes_) all.insert(all.end(), l.hops.begin(), l.hops.end());
+  std::stable_sort(all.begin(), all.end(), [](const HopEvent& a, const HopEvent& b) {
+    return a.start_time < b.start_time;
   });
-  for (const HopEvent& hop : all) sink_.on_hop(hop);
+  return all;
 }
 
 std::uint64_t ChunkPathTracer::chunks_seen() const {
@@ -117,13 +95,13 @@ std::uint64_t ChunkPathTracer::chunks_seen() const {
 
 std::uint64_t ChunkPathTracer::chunks_sampled() const {
   std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.sampled;
+  for (const Lane& l : lanes_) n += l.next;
   return n;
 }
 
 std::uint64_t ChunkPathTracer::hops_recorded() const {
   std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.hops;
+  for (const Lane& l : lanes_) n += l.hops.size();
   return n;
 }
 
@@ -193,8 +171,6 @@ void ChunkPathTracer::save_state(ckpt::Writer& w) const {
     w.f64(l.acc);
     w.u64(l.next);
     w.u64(l.seen);
-    w.u64(l.sampled);
-    w.u64(l.hops);
     w.i64(l.live_delta);
     // Sort by serial so the snapshot bytes don't depend on hash-map order.
     std::vector<std::uint64_t> serials;
@@ -204,8 +180,8 @@ void ChunkPathTracer::save_state(ckpt::Writer& w) const {
     std::sort(serials.begin(), serials.end());
     w.size(serials.size());
     for (const std::uint64_t serial : serials) save_hop(w, l.pending.at(serial));
-    w.size(l.buffered.size());
-    for (const HopEvent& hop : l.buffered) save_hop(w, hop);
+    w.size(l.hops.size());
+    for (const HopEvent& hop : l.hops) save_hop(w, hop);
   }
 }
 
@@ -217,8 +193,6 @@ void ChunkPathTracer::load_state(ckpt::Reader& r) {
     l.acc = r.f64();
     l.next = r.u64();
     l.seen = r.u64();
-    l.sampled = r.u64();
-    l.hops = r.u64();
     l.live_delta = r.i64();
     if (!(l.acc >= 0.0 && l.acc < 1.0))
       throw std::runtime_error("snapshot: tracer sampling accumulator out of range");
@@ -230,23 +204,11 @@ void ChunkPathTracer::load_state(ckpt::Reader& r) {
       if (!l.pending.emplace(hop.chunk, hop).second)
         throw std::runtime_error("snapshot: duplicate pending hop serial");
     }
-    const std::size_t nbuffered = r.count(kHopBytes);
-    l.buffered.clear();
-    l.buffered.reserve(nbuffered);
-    for (std::size_t i = 0; i < nbuffered; ++i) l.buffered.push_back(load_hop(r));
+    const std::size_t nhops = r.count(kHopBytes);
+    l.hops.clear();
+    l.hops.reserve(nhops);
+    for (std::size_t i = 0; i < nhops; ++i) l.hops.push_back(load_hop(r));
   }
-}
-
-void ChromeTraceWriter::save_state(ckpt::Writer& w) const {
-  w.size(hops_.size());
-  for (const HopEvent& hop : hops_) save_hop(w, hop);
-}
-
-void ChromeTraceWriter::load_state(ckpt::Reader& r) {
-  const std::size_t n = r.count(kHopBytes);
-  hops_.clear();
-  hops_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) hops_.push_back(load_hop(r));
 }
 
 namespace {
@@ -255,7 +217,7 @@ double to_us(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
 }  // namespace
 
-void ChromeTraceWriter::render(std::ostream& os) const {
+void render_chrome_trace(std::ostream& os, const std::vector<HopEvent>& hops) {
   obs::JsonWriter w(os, 1);
   w.begin_object();
   w.field("displayTimeUnit", "ns");
@@ -265,7 +227,7 @@ void ChromeTraceWriter::render(std::ostream& os) const {
   // Track metadata: one "process" per router, one "thread" per output port,
   // named so Perfetto shows "router 12 / port 3 (local-row)".
   std::map<RouterId, std::map<int, PortKind>> tracks;
-  for (const HopEvent& hop : hops_) tracks[hop.router][hop.port] = hop.kind;
+  for (const HopEvent& hop : hops) tracks[hop.router][hop.port] = hop.kind;
   for (const auto& [router, ports] : tracks) {
     w.begin_object();
     w.field("ph", "M").field("name", "process_name").field("pid", std::int64_t{router});
@@ -284,7 +246,7 @@ void ChromeTraceWriter::render(std::ostream& os) const {
     }
   }
 
-  for (const HopEvent& hop : hops_) {
+  for (const HopEvent& hop : hops) {
     w.begin_object();
     w.field("ph", "X");
     w.field("name", "m" + std::to_string(hop.msg) + "/c" + std::to_string(hop.chunk));
@@ -311,10 +273,10 @@ void ChromeTraceWriter::render(std::ostream& os) const {
   os << '\n';
 }
 
-bool ChromeTraceWriter::write(const std::string& path) const {
+bool write_chrome_trace(const std::string& path, const std::vector<HopEvent>& hops) {
   std::ofstream f(path);
   if (!f) return false;
-  render(f);
+  render_chrome_trace(f, hops);
   return static_cast<bool>(f);
 }
 

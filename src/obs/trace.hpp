@@ -3,8 +3,7 @@
 // The Network drives a ChunkPathTracer through branch-on-null hooks at four
 // points of a chunk's life: injection (sampling decision), output-queue
 // enqueue at each router, transmit start on each channel, and delivery/drop.
-// The tracer keeps state for the *sampled* subset only and forwards completed
-// per-hop records to a TraceSink. A sampled chunk is identified by the serial
+// The tracer keeps state for the *sampled* subset only. A sampled chunk is identified by the serial
 // on_chunk_injected returns; the Network stows it in Chunk::trace_serial and
 // passes it back at every later hook, so the tracer needs no chunk-id map.
 //
@@ -13,24 +12,22 @@
 // really records one chunk in ten — no RNG, no long-run drift, reproducible
 // across runs.
 //
-// Sharded engine support (DESIGN.md §10): constructed over a sharded Engine,
-// the tracer keeps one state block per lane. Serials pack (lane << 48) | n
-// where n counts injections sampled on that lane — single-writer, and
-// identical at any worker-thread count. Hop records are buffered per lane
-// (the shared TraceSink cannot be called from concurrent workers) and
-// flush() hands them to the sink in one deterministic sorted pass; the
-// realtime on_chunk_sampled / on_chunk_closed sink callbacks are suppressed
-// in this mode for the same reason. Unsharded, behaviour is exactly the
-// classic single-stream tracer: plain 0,1,2,... serials, records forwarded
-// the moment they complete.
+// One tracer at every thread count (DESIGN.md §7, §10): the tracer keeps one
+// state block per engine lane, indexed by Engine::current_lane(), exactly like
+// the network. Serials pack (lane << 48) | n, where n counts injections
+// sampled on that lane — single-writer, and identical at any worker-thread
+// count. Without shard lanes the only lane is index 0, so serials are plain
+// 0,1,2,... Completed hops are appended to the recording lane's vector, the
+// only store of the trace; hops() merges the lanes on demand.
 //
-// ChromeTraceWriter renders the recorded hops as Chrome trace-event JSON
+// render_chrome_trace turns the merged hops into Chrome trace-event JSON
 // (load in chrome://tracing or https://ui.perfetto.dev): one process per
 // router, one thread per output port, one complete ("X") slice per hop
 // occupancy of the wire, with queue depth at enqueue and the VC in args.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,49 +62,33 @@ struct HopEvent {
   SimTime end_time = 0;
 };
 
-/// Receives trace records as they complete. Implementations must not assume
-/// hop events of different chunks arrive grouped — chunks interleave.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_hop(const HopEvent& hop) = 0;
-  /// A chunk passed the sampling decision at injection time. Not delivered
-  /// when the tracer runs per-lane over a sharded engine.
-  virtual void on_chunk_sampled(std::uint64_t /*serial*/, MsgId /*msg*/, NodeId /*src*/,
-                                NodeId /*dst*/, Bytes /*bytes*/, SimTime /*now*/) {}
-  /// The sampled chunk left the fabric (delivered = false means dropped on a
-  /// failed link; its bytes return via NIC retransmission as a new chunk).
-  /// Not delivered when the tracer runs per-lane over a sharded engine.
-  virtual void on_chunk_closed(std::uint64_t /*serial*/, SimTime /*now*/, bool /*delivered*/) {}
-};
-
 class ChunkPathTracer {
  public:
-  /// Records per-hop events for `sample_rate` (in [0, 1]) of injected chunks.
-  /// Pass the engine iff the network runs sharded on it (Network::sharded());
-  /// the tracer then partitions its state by the engine's lanes. With the
-  /// default nullptr it is the classic serial tracer.
-  ChunkPathTracer(TraceSink& sink, double sample_rate, const Engine* engine = nullptr);
+  /// Records per-hop events for `sample_rate` (in [0, 1]) of injected chunks,
+  /// with one state block per lane of `engine` (which must outlive the tracer
+  /// and already have its final lane count).
+  ChunkPathTracer(double sample_rate, const Engine& engine);
 
   // --- Network hooks (call sites branch on a null tracer pointer) ---
   /// Sampling decision for a freshly injected chunk. Returns the serial to
   /// store in Chunk::trace_serial, or kNoTraceSerial if unsampled.
-  std::uint64_t on_chunk_injected(MsgId msg, NodeId src, NodeId dst, Bytes bytes, SimTime now);
+  std::uint64_t on_chunk_injected();
   void on_hop_enqueue(std::uint64_t serial, MsgId msg, NodeId src, NodeId dst, Bytes bytes,
                       RouterId router, int port, PortKind kind, int vc, Bytes queue_depth,
                       SimTime now);
   void on_transmit_start(std::uint64_t serial, SimTime start, SimTime end);
-  void on_delivered(std::uint64_t serial, SimTime now);
-  void on_dropped(std::uint64_t serial, SimTime now);
+  /// The sampled chunk left the fabric: delivered, or dropped on a failed
+  /// link (its bytes return via NIC retransmission as a new chunk).
+  void on_chunk_left(std::uint64_t serial);
 
-  /// Hands all per-lane buffered hop records to the sink in one deterministic
-  /// order — (enqueue_time, start_time, serial, router, port) — and clears
-  /// the buffers. Call once after the run drains (RunTelemetry::finish does).
-  /// No-op for the unsharded tracer, which never buffers.
-  void flush();
+  /// Every completed hop: the lanes' records concatenated in lane order,
+  /// then stably sorted on start_time. Each lane records in its own dispatch
+  /// order, so the result is the same at any worker-thread count; with one
+  /// lane it is the order the hops completed in.
+  std::vector<HopEvent> hops() const;
 
   /// Checkpoint support (src/ckpt/): per-lane sampling accumulators,
-  /// serial/counter state, half-recorded pending hops and buffered records.
+  /// serial/counter state, half-recorded pending hops and completed hops.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -120,51 +101,31 @@ class ChunkPathTracer {
 
  private:
   /// Per-lane tracer state; single-writer by the owning lane's worker (or
-  /// the coordinator in global context). One instance when unsharded.
+  /// the coordinator in global context).
   struct alignas(64) Lane {
     double acc = 0;  ///< error-feedback sampling accumulator
-    std::uint64_t next = 0;  ///< low bits of the next serial minted here
+    std::uint64_t next = 0;  ///< chunks sampled here == low bits of the next serial
     std::uint64_t seen = 0;
-    std::uint64_t sampled = 0;
-    std::uint64_t hops = 0;
-    /// +1 per chunk sampled here, -1 per chunk closed here; a chunk may
-    /// close on a different lane than it was sampled on, so only the sum
-    /// across lanes is meaningful.
+    /// +1 per chunk sampled here, -1 per chunk that left the fabric here; a
+    /// chunk may leave on a different lane than it was sampled on, so only
+    /// the sum across lanes is meaningful.
     std::int64_t live_delta = 0;
     /// Hops enqueued but not yet transmitted, by serial. Enqueue and
     /// transmit-start of one hop happen on the same lane (same output port).
     std::unordered_map<std::uint64_t, HopEvent> pending;
-    std::vector<HopEvent> buffered;  ///< completed hops awaiting flush (sharded)
+    std::vector<HopEvent> hops;  ///< hops completed on this lane, in dispatch order
   };
 
-  int lane_index() const { return engine_ ? engine_->current_lane() : 0; }
-  Lane& lane() { return lanes_[static_cast<std::size_t>(lane_index())]; }
-  void close(std::uint64_t serial, SimTime now, bool delivered);
+  Lane& lane() { return lanes_[static_cast<std::size_t>(engine_.current_lane())]; }
 
-  TraceSink& sink_;
   double rate_;
-  const Engine* engine_;  ///< non-null iff running per-lane (sharded)
+  const Engine& engine_;
   std::vector<Lane> lanes_;
 };
 
-/// Buffers hop events and renders them as Chrome trace-event JSON.
-class ChromeTraceWriter : public TraceSink {
- public:
-  void on_hop(const HopEvent& hop) override { hops_.push_back(hop); }
-
-  const std::vector<HopEvent>& hops() const { return hops_; }
-
-  /// Checkpoint support: the buffered hop records.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
-
-  /// Renders the trace-event JSON document ({"traceEvents": [...]}).
-  void render(std::ostream& os) const;
-  /// Writes render() to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
-
- private:
-  std::vector<HopEvent> hops_;
-};
+/// Renders `hops` as a Chrome trace-event JSON document ({"traceEvents": [...]}).
+void render_chrome_trace(std::ostream& os, const std::vector<HopEvent>& hops);
+/// Writes render_chrome_trace() to `path`; returns false on I/O failure.
+bool write_chrome_trace(const std::string& path, const std::vector<HopEvent>& hops);
 
 }  // namespace dfly

@@ -145,11 +145,17 @@ class Engine {
   std::uint64_t events_processed() const { return processed_; }
   std::size_t pending() const;
 
-  /// Aborts run() after this many further events (0 = unlimited); used by
-  /// tests as a deadlock/livelock watchdog. The limit is checked before every
-  /// global event and every shard batch, so with shard lanes the overshoot is
+  /// Aborts run() once events_processed() reaches `limit` (0 = unlimited);
+  /// used as a deadlock/livelock watchdog. The bound is absolute, not a count
+  /// of further events, so a run resumed from a checkpoint (which restores
+  /// events_processed()) stops where the uninterrupted run would. Setting a
+  /// limit clears hit_event_limit(). The limit is checked before every global
+  /// event and every shard batch, so with shard lanes the overshoot is
   /// deterministic but may exceed the limit by up to one batch.
-  void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
+  void set_event_limit(std::uint64_t limit) {
+    event_limit_ = limit;
+    hit_limit_ = false;
+  }
   bool hit_event_limit() const { return hit_limit_; }
 
   /// Makes run()/run_until() return before dispatching any further event.

@@ -114,6 +114,27 @@ TEST(Engine, EventLimitActsAsWatchdog) {
   EXPECT_EQ(engine.events_processed(), 1000u);
 }
 
+TEST(Engine, EventLimitIsAnAbsoluteBoundAndResettingClearsTheHit) {
+  Engine engine;
+  Recorder rec;
+  for (SimTime t = 1; t <= 3; ++t) engine.schedule(t, &rec, EventPayload{});
+  engine.set_event_limit(1);
+  engine.run();
+  EXPECT_TRUE(engine.hit_event_limit());
+  EXPECT_EQ(engine.events_processed(), 1u);
+  // The bound counts events_processed(), not events since the call.
+  engine.set_event_limit(2);
+  EXPECT_FALSE(engine.hit_event_limit());
+  engine.run();
+  EXPECT_TRUE(engine.hit_event_limit());
+  EXPECT_EQ(engine.events_processed(), 2u);
+  engine.set_event_limit(0);
+  engine.run();
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.events_processed(), 3u);
+  EXPECT_FALSE(engine.hit_event_limit());
+}
+
 TEST(Engine, RequestStopHaltsRunAndKeepsPendingEvents) {
   Engine engine;
   struct Stopper : EventHandler {

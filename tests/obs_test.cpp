@@ -205,26 +205,11 @@ TEST(Counters, ProbeSamplesPeriodicallyAndStops) {
   EXPECT_EQ(probe.snapshots().back().value_of("test.ticks"), 9);
 }
 
-// Sink that records everything for inspection.
-struct RecordingSink : TraceSink {
-  std::vector<HopEvent> hops;
-  std::uint64_t sampled = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t delivered = 0;
-  void on_hop(const HopEvent& hop) override { hops.push_back(hop); }
-  void on_chunk_sampled(std::uint64_t, MsgId, NodeId, NodeId, Bytes, SimTime) override {
-    ++sampled;
-  }
-  void on_chunk_closed(std::uint64_t, SimTime, bool ok) override {
-    ++closed;
-    if (ok) ++delivered;
-  }
-};
-
 struct TracedRun {
-  RecordingSink sink;
+  std::vector<HopEvent> hops;
   std::uint64_t chunks_seen = 0;
   std::uint64_t chunks_sampled = 0;
+  std::uint64_t chunks_dropped = 0;
   std::size_t live = 0;
 };
 
@@ -235,40 +220,40 @@ TracedRun run_traced(double rate, int messages = 16) {
   DragonflyTopology topo(TopoParams::tiny());
   MinimalRouting routing(topo);
   Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
-  ChunkPathTracer tracer(out.sink, rate);
+  ChunkPathTracer tracer(rate, engine);
   network.set_tracer(&tracer);
   const int nodes = topo.params().total_nodes();
   for (int m = 0; m < messages; ++m)
     network.send(m % nodes, (m + nodes / 2) % nodes, 64 * units::kKiB);
   engine.run();
   network.set_tracer(nullptr);
+  out.hops = tracer.hops();
   out.chunks_seen = tracer.chunks_seen();
   out.chunks_sampled = tracer.chunks_sampled();
+  out.chunks_dropped = network.chunks_dropped();
   out.live = tracer.live_chunks();
   return out;
 }
 
 TEST(Tracer, RejectsOutOfRangeSampleRate) {
-  RecordingSink sink;
-  EXPECT_THROW(ChunkPathTracer(sink, -0.01), std::invalid_argument);
-  EXPECT_THROW(ChunkPathTracer(sink, 1.01), std::invalid_argument);
+  Engine engine;
+  EXPECT_THROW(ChunkPathTracer(-0.01, engine), std::invalid_argument);
+  EXPECT_THROW(ChunkPathTracer(1.01, engine), std::invalid_argument);
 }
 
 TEST(Tracer, SampleRateOneTracesEveryChunk) {
   const TracedRun run = run_traced(1.0);
   EXPECT_GT(run.chunks_seen, 0u);
   EXPECT_EQ(run.chunks_sampled, run.chunks_seen);
-  EXPECT_EQ(run.sink.sampled, run.chunks_seen);
-  EXPECT_EQ(run.sink.closed, run.chunks_seen);      // all closed after drain...
-  EXPECT_EQ(run.sink.delivered, run.chunks_seen);   // ...all by delivery
-  EXPECT_EQ(run.live, 0u);
+  EXPECT_EQ(run.live, 0u);             // every sampled chunk left the fabric...
+  EXPECT_EQ(run.chunks_dropped, 0u);   // ...all by delivery
 }
 
 TEST(Tracer, SampleRateZeroTracesNothing) {
   const TracedRun run = run_traced(0.0);
   EXPECT_GT(run.chunks_seen, 0u);
   EXPECT_EQ(run.chunks_sampled, 0u);
-  EXPECT_TRUE(run.sink.hops.empty());
+  EXPECT_TRUE(run.hops.empty());
 }
 
 TEST(Tracer, FractionalRateMatchesConfiguredFraction) {
@@ -281,9 +266,9 @@ TEST(Tracer, FractionalRateMatchesConfiguredFraction) {
 
 TEST(Tracer, HopTimestampsAreMonotonicPerChunk) {
   const TracedRun run = run_traced(1.0);
-  ASSERT_FALSE(run.sink.hops.empty());
+  ASSERT_FALSE(run.hops.empty());
   std::map<std::uint64_t, std::vector<HopEvent>> by_chunk;
-  for (const HopEvent& hop : run.sink.hops) by_chunk[hop.chunk].push_back(hop);
+  for (const HopEvent& hop : run.hops) by_chunk[hop.chunk].push_back(hop);
   EXPECT_EQ(by_chunk.size(), run.chunks_seen);
   for (const auto& [serial, hops] : by_chunk) {
     for (std::size_t i = 0; i < hops.size(); ++i) {
@@ -307,16 +292,15 @@ TEST(Tracer, ChromeTraceRendersValidJson) {
   DragonflyTopology topo(TopoParams::tiny());
   MinimalRouting routing(topo);
   Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
-  ChromeTraceWriter writer;
-  ChunkPathTracer tracer(writer, 1.0);
+  ChunkPathTracer tracer(1.0, engine);
   network.set_tracer(&tracer);
   network.send(0, topo.params().total_nodes() - 1, 16 * units::kKiB);
   engine.run();
   network.set_tracer(nullptr);
 
-  ASSERT_GT(writer.hops().size(), 0u);
+  ASSERT_GT(tracer.hops().size(), 0u);
   std::ostringstream os;
-  writer.render(os);
+  render_chrome_trace(os, tracer.hops());
   const std::string doc = os.str();
   EXPECT_TRUE(JsonChecker(doc).valid());
   EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
