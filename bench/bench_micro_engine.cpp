@@ -12,13 +12,17 @@
 //   bench_micro_engine --smoke        # quick head-to-head only; exits 1 if
 //                                     # the calendar queue regresses vs. heap
 //   bench_micro_engine --out=FILE     # where to write the JSON (default
-//                                     # BENCH_engine.json in the cwd)
+//                                     # BENCH_engine.json in the cwd); top-
+//                                     # level keys of an existing FILE that
+//                                     # the harness does not write are kept
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <malloc.h>
 #include <memory>
 #include <string>
@@ -345,7 +349,87 @@ std::vector<ScalingRow> run_scaling_matrix(bool smoke) {
   return rows;
 }
 
+/// Index just past the JSON string that opens at text[i] (a '"'), or npos if
+/// it never closes.
+std::size_t skip_json_string(const std::string& text, std::size_t i) {
+  for (++i; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;
+    } else if (text[i] == '"') {
+      return i + 1;
+    }
+  }
+  return std::string::npos;
+}
+
+/// One top-level member of a JSON object: its key and its source text, from
+/// the key's opening quote to the end of its value.
+struct JsonMember {
+  std::string key;
+  std::string text;
+};
+
+/// Splits the JSON object in `text` into its top-level members, keeping each
+/// member's bytes as they are. Returns false if `text` is not an object.
+bool split_json_members(const std::string& text, std::vector<JsonMember>& members) {
+  constexpr const char* kSpace = " \t\r\n";
+  std::size_t i = text.find_first_not_of(kSpace);
+  if (i == std::string::npos || text[i] != '{') return false;
+  for (++i;;) {
+    i = text.find_first_not_of(kSpace, i);
+    if (i == std::string::npos) return false;
+    if (text[i] == '}') return true;
+    if (text[i] != '"') return false;
+    const std::size_t begin = i;
+    const std::size_t key_end = skip_json_string(text, begin);
+    if (key_end == std::string::npos) return false;
+    int depth = 0;
+    for (i = key_end; i < text.size(); ++i) {
+      const char c = text[i];
+      if (c == '"') {
+        i = skip_json_string(text, i);
+        if (i == std::string::npos) return false;
+        --i;
+      } else if (c == '{' || c == '[') {
+        ++depth;
+      } else if ((c == '}' || c == ']') && depth > 0) {
+        --depth;
+      } else if ((c == '}' || c == ',') && depth == 0) {
+        break;
+      }
+    }
+    if (i >= text.size()) return false;
+    const std::size_t end = text.find_last_not_of(kSpace, i - 1) + 1;
+    members.push_back({text.substr(begin + 1, key_end - begin - 2), text.substr(begin, end - begin)});
+    if (text[i] == ',') ++i;
+  }
+}
+
+/// The members of an existing `path` that the harness does not write (the
+/// hand-recorded perf_record blocks), so a rewrite keeps them byte for byte.
+/// A missing file has none; an unreadable or malformed one fails.
+bool kept_members(const std::string& path, std::vector<JsonMember>& kept) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return true;
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::vector<JsonMember> members;
+  if (!split_json_members(text, members)) return false;
+  static const char* const kHarnessKeys[] = {"benchmark", "smoke",   "hold",      "mixes",
+                                              "routing",   "scaling", "host_cores"};
+  for (JsonMember& m : members)
+    if (std::find(std::begin(kHarnessKeys), std::end(kHarnessKeys), m.key) ==
+        std::end(kHarnessKeys))
+      kept.push_back(std::move(m));
+  return true;
+}
+
 int run_harness(bool smoke, const std::string& out_path) {
+  std::vector<JsonMember> kept;
+  if (!kept_members(out_path, kept)) {
+    std::fprintf(stderr, "cannot parse %s as a JSON object; not overwriting it\n",
+                 out_path.c_str());
+    return 1;
+  }
   const std::size_t hold = smoke ? (1u << 14) : (1u << 16);
   const std::uint64_t events = smoke ? 400'000 : 4'000'000;
   const int repetitions = smoke ? 2 : 3;
@@ -403,6 +487,7 @@ int run_harness(bool smoke, const std::string& out_path) {
                    r.barrier_stall_frac, r.lane_imbalance, i + 1 < scaling.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    for (const JsonMember& m : kept) std::fprintf(f, "  %s,\n", m.text.c_str());
     std::fprintf(f, "  \"host_cores\": %u\n", std::thread::hardware_concurrency());
     std::fprintf(f, "}\n");
     std::fclose(f);

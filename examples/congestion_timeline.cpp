@@ -8,10 +8,12 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "metrics/timeline.hpp"
+#include "obs/counters.hpp"
+#include "obs/telemetry.hpp"
 #include "place/placement.hpp"
 #include "replay/replay.hpp"
 #include "routing/adaptive.hpp"
+#include "util/table.hpp"
 #include "workload/background.hpp"
 #include "workload/synthetic.hpp"
 
@@ -41,25 +43,52 @@ int main(int argc, char** argv) {
   spec.interval = 100 * units::kMicrosecond;
   BackgroundDriver background(engine, network, remaining_nodes(params, placement), spec, Rng(3));
 
-  TimelineSampler sampler(engine, network, sample);
-  replay.set_completion_callback([&](SimTime) {
+  CounterRegistry registry;
+  register_network_counters(registry, network);
+  CounterProbe probe(engine, registry, sample);
+  SimTime app_finish = 0;
+  replay.set_completion_callback([&](SimTime end) {
+    app_finish = end;
     background.request_stop();
-    sampler.request_stop();
+    probe.request_stop();
   });
 
   std::printf("app: %d-rank ring | background: %lld KiB x%d bursts every %.1f ms | sampling %lld us\n",
               ranks, static_cast<long long>(burst / units::kKiB), spec.burst_fanout,
               units::to_ms(spec.interval), static_cast<long long>(sample / units::kMicrosecond));
 
-  sampler.start();
+  probe.start();
   background.start();
   replay.start();
   engine.run();
 
-  sampler.to_table("Network state over time (bursts appear as queue spikes)")
-      .print_markdown(std::cout);
+  Table t("Network state over time (bursts appear as queue spikes)");
+  t.set_columns({"time (ms)", "delivered (MB)", "throughput (GB/s)", "queued (MB)",
+                 "queued local (MB)", "queued global (MB)", "queued terminal (MB)",
+                 "msgs in flight"});
+  const std::vector<CounterSnapshot>& snaps = probe.snapshots();
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    const CounterSnapshot& s = snaps[i];
+    const Bytes delivered = s.value_of("net.bytes_delivered");
+    const Bytes local = s.value_of("net.queued_bytes_local");
+    const Bytes global = s.value_of("net.queued_bytes_global");
+    const Bytes terminal = s.value_of("net.queued_bytes_terminal");
+    double gbps = 0.0;  // delivered-bytes rate since the previous sample
+    if (i > 0) {
+      const CounterSnapshot& prev = snaps[i - 1];
+      const double bytes = static_cast<double>(delivered - prev.value_of("net.bytes_delivered"));
+      const double ns = static_cast<double>(s.time - prev.time);
+      gbps = ns > 0 ? bytes / ns : 0.0;  // bytes/ns == GB/s
+    }
+    t.add_row({Table::num(units::to_ms(s.time), 3), Table::num(units::to_mb(delivered), 2),
+               Table::num(gbps, 2), Table::num(units::to_mb(local + global + terminal), 3),
+               Table::num(units::to_mb(local), 3), Table::num(units::to_mb(global), 3),
+               Table::num(units::to_mb(terminal), 3),
+               Table::num(s.value_of("net.messages_in_flight"))});
+  }
+  t.print_markdown(std::cout);
   std::printf("app finished at %.3f ms; background issued %.1f MB in %llu bursts\n",
-              units::to_ms(replay.rank_finish_time(0)), units::to_mb(background.bytes_issued()),
+              units::to_ms(app_finish), units::to_mb(background.bytes_issued()),
               static_cast<unsigned long long>(background.ticks()));
   return 0;
 }

@@ -57,6 +57,23 @@ void register_network_counters(CounterRegistry& registry, const Network& network
   registry.add_source("net.messages_in_flight", MetricKind::Gauge, [&network] {
     return static_cast<std::int64_t>(network.messages_in_flight());
   });
+  // Bytes queued on router output ports of one class: which link class the
+  // congestion sits on at each snapshot.
+  const auto queued = [&registry, &network](const char* name, bool (*in_class)(PortKind)) {
+    registry.add_source(name, MetricKind::Gauge, [&network, in_class] {
+      Bytes total = 0;
+      for (RouterId r = 0; r < network.topology().params().total_routers(); ++r) {
+        const Router router = network.router(r);
+        for (int p = 0; p < router.num_ports(); ++p)
+          if (in_class(router.port(p).kind)) total += router.port(p).queued_bytes;
+      }
+      return static_cast<std::int64_t>(total);
+    });
+  };
+  queued("net.queued_bytes_local",
+         [](PortKind k) { return k == PortKind::LocalRow || k == PortKind::LocalCol; });
+  queued("net.queued_bytes_global", [](PortKind k) { return k == PortKind::Global; });
+  queued("net.queued_bytes_terminal", [](PortKind k) { return k == PortKind::Terminal; });
   const DragonflyTopology& topo = network.topology();
   registry.add_source("topo.disabled_global_links", MetricKind::Gauge, [&topo] {
     return static_cast<std::int64_t>(topo.disabled_global_links());

@@ -78,6 +78,7 @@ class RunTelemetry {
 
   const TelemetryOptions& options() const { return options_; }
   CounterRegistry& registry() { return registry_; }
+  /// The probe as an event handler, for the checkpoint's handler table.
   CounterProbe& probe() { return probe_; }
   ChunkPathTracer& tracer() { return tracer_; }
   const ChunkPathTracer& tracer() const { return tracer_; }

@@ -3,6 +3,7 @@
 // exporter driven through run_experiment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,8 @@
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "place/placement.hpp"
+#include "replay/replay.hpp"
 #include "routing/adaptive.hpp"
 #include "routing/minimal.hpp"
 #include "workload/synthetic.hpp"
@@ -205,6 +208,107 @@ TEST(Counters, ProbeSamplesPeriodicallyAndStops) {
   EXPECT_EQ(probe.snapshots().back().value_of("test.ticks"), 9);
 }
 
+// --- the periodic network timeline: register_network_counters sampled by a
+// CounterProbe, as examples/congestion_timeline.cpp does ---
+
+TEST(Timeline, SamplesAtFixedIntervalAndStops) {
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  MinimalRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  CounterRegistry registry;
+  register_network_counters(registry, network);
+  CounterProbe probe(engine, registry, 10 * units::kMicrosecond);
+
+  const Trace trace = make_ring_trace(16, 256 * units::kKiB, 2);
+  Rng rng(2);
+  const Placement placement = make_placement(PlacementKind::RandomNode, topo.params(), 16, rng);
+  ReplayEngine replay(engine, network, trace, placement);
+  replay.set_completion_callback([&](SimTime) { probe.request_stop(); });
+  probe.start();
+  replay.start();
+  engine.run();
+
+  const std::vector<CounterSnapshot>& snaps = probe.snapshots();
+  ASSERT_GE(snaps.size(), 2u);
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    EXPECT_EQ(snaps[i].time - snaps[i - 1].time, 10 * units::kMicrosecond);
+    EXPECT_GE(snaps[i].value_of("net.bytes_delivered"),
+              snaps[i - 1].value_of("net.bytes_delivered"));
+    EXPECT_GE(snaps[i].value_of("net.chunks_forwarded"),
+              snaps[i - 1].value_of("net.chunks_forwarded"));
+  }
+  // Final cumulative delivered matches the network counter at sample time.
+  EXPECT_LE(snaps.back().value_of("net.bytes_delivered"), network.bytes_delivered());
+}
+
+TEST(Timeline, RejectsNonPositiveInterval) {
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  MinimalRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  CounterRegistry registry;
+  register_network_counters(registry, network);
+  EXPECT_THROW(CounterProbe(engine, registry, 0), std::invalid_argument);
+  EXPECT_THROW(CounterProbe(engine, registry, -1), std::invalid_argument);
+}
+
+TEST(Timeline, RejectsDoubleStart) {
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  MinimalRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  CounterRegistry registry;
+  register_network_counters(registry, network);
+  CounterProbe probe(engine, registry, 1000);
+  probe.start();
+  EXPECT_THROW(probe.start(), std::logic_error);
+}
+
+TEST(Timeline, QueuedBytesSplitsByPortClass) {
+  Engine engine;
+  DragonflyTopology topo(TopoParams::tiny());
+  MinimalRouting routing(topo);
+  Network network(engine, topo, NetworkParams::theta(), routing, Rng(1));
+  CounterRegistry registry;
+  register_network_counters(registry, network);
+  const SimTime interval = 2 * units::kMicrosecond;
+  CounterProbe probe(engine, registry, interval);
+
+  // Each node sends into the next group, offset by three nodes: minimal paths
+  // then take local hops around the global one, and both port classes queue.
+  const int nodes = topo.params().total_nodes();
+  for (NodeId n = 0; n < nodes; ++n) network.send(n, (n + nodes / 3 + 3) % nodes, units::kMiB);
+  probe.start();
+  std::int64_t peak_local = 0;
+  std::int64_t peak_global = 0;
+  for (SimTime stop = 5 * units::kMicrosecond; stop <= 100 * units::kMicrosecond;
+       stop += 5 * units::kMicrosecond) {
+    engine.run_until(stop);
+    std::map<PortKind, Bytes> scan;
+    for (RouterId r = 0; r < topo.params().total_routers(); ++r)
+      for (int p = 0; p < topo.ports_per_router(); ++p)
+        scan[topo.port_kind(p)] += network.queued_bytes(r, p);
+    const CounterSnapshot s = registry.snapshot(engine.now());
+    const std::int64_t local = s.value_of("net.queued_bytes_local");
+    const std::int64_t global = s.value_of("net.queued_bytes_global");
+    EXPECT_EQ(local, scan[PortKind::LocalRow] + scan[PortKind::LocalCol]) << "t=" << stop;
+    EXPECT_EQ(global, scan[PortKind::Global]) << "t=" << stop;
+    EXPECT_EQ(s.value_of("net.queued_bytes_terminal"), scan[PortKind::Terminal]) << "t=" << stop;
+    peak_local = std::max(peak_local, local);
+    peak_global = std::max(peak_global, global);
+  }
+  probe.request_stop();
+  engine.run();
+
+  EXPECT_GT(peak_local, 0);
+  EXPECT_GT(peak_global, 0);
+  const std::vector<CounterSnapshot>& snaps = probe.snapshots();
+  ASSERT_GE(snaps.size(), 2u);
+  for (std::size_t i = 1; i < snaps.size(); ++i)
+    EXPECT_EQ(snaps[i].time - snaps[i - 1].time, interval) << "snapshot " << i;
+}
+
 struct TracedRun {
   std::vector<HopEvent> hops;
   std::uint64_t chunks_seen = 0;
@@ -379,6 +483,10 @@ TEST(Telemetry, ExperimentExportsAllArtifacts) {
     EXPECT_TRUE(JsonChecker(line).valid()) << "line " << lines;
     EXPECT_NE(line.find("\"net.bytes_delivered\""), std::string::npos);
     EXPECT_NE(line.find("\"routing.decisions\""), std::string::npos);
+    for (const char* key :
+         {"net.queued_bytes_local", "net.queued_bytes_global", "net.queued_bytes_terminal"})
+      EXPECT_NE(line.find('"' + std::string(key) + '"'), std::string::npos)
+          << key << " missing on line " << lines;
   }
   EXPECT_GE(lines, 2);  // at least the start and end-of-run snapshots
 

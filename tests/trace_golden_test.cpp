@@ -168,22 +168,22 @@ const ExperimentConfig kContMin{PlacementKind::Contiguous, RoutingKind::Minimal}
 const ExperimentConfig kRandAdp{PlacementKind::RandomNode, RoutingKind::Adaptive};
 
 TEST(TraceGolden, CrContMinSerialArtifacts) {
-  expect_serial_golden(kContMin, {0x1f3269d5315c74fa, 0xf17c6ea641dfc9bc, 0x309db328d8a2cbb3,
+  expect_serial_golden(kContMin, {0x1f3269d5315c74fa, 0xe5684f86955a9fef, 0x309db328d8a2cbb3,
                                   0x7cbd8a0505fcf75d});
 }
 
 TEST(TraceGolden, CrRandAdpSerialArtifacts) {
-  expect_serial_golden(kRandAdp, {0x5faaacec0317e0b3, 0x9698aca32849db3a, 0x9bcd7aac06750162,
+  expect_serial_golden(kRandAdp, {0x5faaacec0317e0b3, 0x2bb2484cff38fe33, 0x9bcd7aac06750162,
                                   0xebb145f40c7d84a2});
 }
 
 TEST(TraceGolden, CrContMinShardedHops) {
-  expect_sharded_golden(kContMin, {0x9c82a6e44920f130, 0x6132d6476a1d7c23, 0x1af24945c0003428,
+  expect_sharded_golden(kContMin, {0x9c82a6e44920f130, 0x34ad8d0930055831, 0x1af24945c0003428,
                                    0x82659636fe338e20});
 }
 
 TEST(TraceGolden, CrRandAdpShardedHops) {
-  expect_sharded_golden(kRandAdp, {0x51d39e96c756c8d2, 0x56f78a797d33f05f, 0xcff4505768c3c37d,
+  expect_sharded_golden(kRandAdp, {0x51d39e96c756c8d2, 0x855cf918b938518f, 0xcff4505768c3c37d,
                                    0x5f4216c7fbe4d6e1});
 }
 
